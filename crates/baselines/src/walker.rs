@@ -1,14 +1,13 @@
 //! Deterministic sharding-propagation program builder.
 //!
 //! The walker's bookkeeping reuses the synthesis crate's canonical
-//! [`PropSet`] — the same hash-consed property-set machinery the A\*
-//! interner is built on — instead of private per-node `Vec`s and a
-//! `HashSet`: membership ("is `e` available under placement `p`?") is one
-//! binary search over a single sorted arena, per-node placements are a
-//! contiguous [`PropSet::node_props`] slice, and the set's incrementally
-//! maintained stable hash comes for free should callers ever want to
-//! hash-cons walker states (ROADMAP: "interner-backed seen sets beyond
-//! synthesis").
+//! [`PropSet`] — the property sets the synthesis theory is stated in —
+//! instead of private per-node `Vec`s and a `HashSet`: membership ("is `e`
+//! available under placement `p`?") is one binary search over a single
+//! sorted arena, per-node placements are a contiguous
+//! [`PropSet::node_props`] slice, and the set's incrementally maintained
+//! stable hash comes for free should callers ever want to hash-cons walker
+//! states.
 
 use hap_graph::{Graph, NodeId, Op, Placement, Role, Rule};
 use hap_synthesis::{CollectiveInstr, DistInstr, DistProgram, PropSet};

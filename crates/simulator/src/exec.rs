@@ -40,9 +40,8 @@ struct DistTensor {
 
 /// The executor's event-dedup structure: every produced
 /// `(node, placement)` pair, keyed through the synthesis crate's canonical
-/// [`PropSet`] (the same sorted-arena machinery the A\* interner and the
-/// baselines walker use — closing the ROADMAP "the simulator remains"
-/// item) with the tensor payloads in a parallel vector at the matching
+/// [`PropSet`] (the same sorted-arena machinery the baselines walker
+/// uses) with the tensor payloads in a parallel vector at the matching
 /// sorted index. Membership is one binary search; a node's placements are
 /// a contiguous [`PropSet::node_props`] slice, which also makes output
 /// reconstruction *deterministic* — the old `HashMap` picked whichever

@@ -6,42 +6,46 @@
 //! running stage's per-device computation, and `ecost` is the admissible
 //! remaining-work bound assuming infinite bandwidth and perfect balance.
 //! Dominance pruning keeps, per property set, only the cheapest program
-//! (the hash-map realization of Fig. 10 lines 9–14), realized as a sharded
-//! map so expansion workers can consult it concurrently.
+//! (Fig. 10 lines 9–14): a `Vec` of best costs indexed by the set's interned
+//! id.
 //!
 //! # Parallel waves, deterministic results
 //!
-//! The search proceeds in *waves*: each wave pops the best
-//! [`WAVE_WIDTH`] states from a sharded frontier, expands them across a
-//! scoped thread pool ([`mini_rayon`] scatter/gather), then merges the
-//! candidate successors **sequentially in a stable order** — sorted by
-//! `(score, cost, program fingerprint)` — before committing any of them to
-//! the dominance map, the incumbent, or the frontier. During a wave the
-//! dominance map and the incumbent are frozen, so workers only perform
-//! deterministic reads; all writes happen in the deterministic merge. The
-//! result is bit-for-bit identical for every `threads` value whenever the
-//! search terminates structurally (optimality bound, expansion budget, or
-//! stall cutoff). Only the wall-clock budget ([`SynthConfig::time_budget_secs`])
-//! is inherently timing-dependent: when it fires, the incumbent of the last
-//! completed wave — itself a deterministic function of the wave count — is
-//! returned.
+//! The search proceeds in *waves*: each wave pops the best [`WAVE_WIDTH`]
+//! states from the frontier, expands them across a scoped thread pool
+//! ([`mini_rayon`] scatter/gather), then merges the candidate successors
+//! **sequentially in a stable order** — sorted by `(score, cost, program
+//! fingerprint)` — before committing any of them to the set arena, the
+//! dominance table, the incumbent, or the frontier. During a wave all of
+//! those are frozen, so workers only perform deterministic reads; every
+//! write happens in the deterministic merge. Set ids are therefore dense and
+//! deterministic too. The result is bit-for-bit identical for every
+//! `threads` value whenever the search terminates structurally (optimality
+//! bound, expansion budget, or stall cutoff). Only the wall-clock budget
+//! ([`SynthConfig::time_budget_secs`]) is inherently timing-dependent: when
+//! it fires, the incumbent of the last completed wave — itself a
+//! deterministic function of the wave count — is returned.
 //!
-//! # The zero-allocation hot path
+//! # Flat search states
 //!
-//! The expansion inner loop (one iteration per `(state, triple)` pair) is
-//! O(1)-lookup and allocation-free until a successor survives the bounds:
-//! costs come from dense precomputed [`CostTables`], previews run through a
-//! per-worker scratch buffer with fused add+max passes, and states carry
-//! hash-consed [`InternedProps`] whose content hash is maintained
-//! incrementally — so dominance probes hash a `u32` id, not a whole set.
-//! [`HotPathBench`] freezes this loop into a micro-benchmarkable workload
+//! A state's property set is a fixed-width bitset over the theory's
+//! numbering of its properties (see [`Theory`]), interned in one arena the
+//! search owns; committed states are plain records in a `Vec`, their
+//! running stages live in one flat `Vec<f64>`, and a state's program is the
+//! chain of `(triple, skipped leaves)` steps through its ancestors'
+//! records, materialized only for an incumbent. Expanding a state
+//! enumerates its candidate triples from the theory's first-precondition
+//! index (in theory order), costs each from dense precomputed
+//! [`CostTables`], previews with a reused scratch row, and builds survivors
+//! into reused buffers: a wave allocates a few vectors per expanded state,
+//! not per successor, and dropping the search frees a handful of vectors.
+//! [`HotPathBench`] replays this loop as a micro-benchmarkable workload
 //! (`synthesis/expand_hot_path`), with a `Direct` cost oracle preserving
 //! the pre-table behavior for comparison.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use hap_cluster::VirtualDevice;
@@ -50,9 +54,9 @@ use hap_graph::{Graph, NodeId, Rule};
 use mini_rayon::ThreadPool;
 
 use crate::cost::{CostModel, CostTables, ShardingRatios};
-use crate::instr::{CollectiveInstr, DistInstr, DistProgram, ProgChain};
-use crate::property::{InternedProps, PropInterner, PropSet};
-use crate::theory::{Theory, TheoryOptions, Triple};
+use crate::instr::{CollectiveInstr, DistInstr, DistProgram, FNV_OFFSET};
+use crate::property::{has_bit, set_bit, SetArena};
+use crate::theory::{Theory, TheoryOptions, Triple, TripleBits};
 
 /// Synthesis options.
 #[derive(Clone, Copy, Debug)]
@@ -123,97 +127,201 @@ impl std::error::Error for SynthError {}
 /// whether the wave is expanded by 1 worker or 64.
 const WAVE_WIDTH: usize = 64;
 
-/// Shards of the frontier (keeps per-heap sifts short).
-const FRONTIER_SHARDS: usize = 16;
-
-/// Shards of the dominance map (power of two; masks the state hash).
-const DOMINANCE_SHARDS: usize = 64;
-
-/// Workers re-check the shared deadline flag every this many triples.
+/// Workers re-check the shared deadline flag every this many candidate
+/// triples.
 const DEADLINE_STRIDE: usize = 256;
 
-/// Recycled state boxes a worker takes per `expand` call (one lock
-/// round-trip per call, not per successor).
-const RECYCLE_BATCH: usize = 16;
+const EPS: f64 = 1e-12;
 
-/// Boxes the recycling pool retains between waves. Beyond this the
-/// surplus is freed: a single candidate-heavy wave must not pin its peak
-/// footprint for the rest of the search.
-const RECYCLE_CAP: usize = 4096;
+/// The parent of the root state.
+const ROOT: u32 = u32::MAX;
 
-/// A bump-style recycling arena for wave states. Every wave discards far
-/// more `State` boxes than it commits — spent wave states, bound-rejected
-/// candidates, dominated successors — and the next wave immediately
-/// re-allocates boxes of the same shape. The pool closes that loop:
-/// discarded boxes (with their `stage` buffers) come back through
-/// [`apply_into`], so the steady-state expansion loop stops hitting the
-/// allocator for short-lived successors. Purely a storage cache — recycled
-/// slots are fully overwritten, so search results stay bit-identical.
-// `Vec<Box<State>>` is the point, not an accident (clippy::vec_box): the
-// boxes are the recycled resource — they move into `Candidate`/`Entry`
-// (both hold `Box<State>`) without re-allocating, which unboxed storage
-// would forfeit.
-#[allow(clippy::vec_box)]
-struct StatePool {
-    pool: Mutex<Vec<Box<State>>>,
-}
+/// [`Cand::set`] of a candidate whose property set was not interned when
+/// its wave began (its words are in [`Expansion::new_sets`]).
+const NEW_SET: u32 = u32::MAX;
 
-#[allow(clippy::vec_box)]
-impl StatePool {
-    fn new() -> StatePool {
-        StatePool { pool: Mutex::new(Vec::new()) }
-    }
-
-    /// Moves up to [`RECYCLE_BATCH`] recycled boxes into `local`.
-    fn take(&self, local: &mut Vec<Box<State>>) {
-        let mut pool = self.pool.lock().unwrap();
-        let keep = pool.len().saturating_sub(RECYCLE_BATCH);
-        local.extend(pool.drain(keep..));
-    }
-
-    /// Returns `local`'s boxes to the pool, freeing any beyond
-    /// [`RECYCLE_CAP`].
-    fn give(&self, local: &mut Vec<Box<State>>) {
-        if local.is_empty() {
-            return;
-        }
-        let mut pool = self.pool.lock().unwrap();
-        pool.append(local);
-        pool.truncate(RECYCLE_CAP);
-    }
-}
-
-struct State {
-    /// Hash-consed property set: cloning a state copies the id and bumps a
-    /// refcount; the owned set is cloned only at genuine mutation points
-    /// (inside [`apply`], which then re-interns the successor).
-    props: InternedProps,
-    /// Time of closed stages plus nothing of the running stage.
+/// A committed search state. Its running stage is `m` entries of
+/// [`Arena::stages`] at the state's index.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    /// Interned property-set id.
+    set: u32,
+    /// The state this one was expanded from ([`ROOT`] for the root).
+    parent: u32,
+    /// The triple applied to `parent`.
+    triple: u32,
+    /// Leaf instructions of `triple` not emitted because the leaf was
+    /// already materialized (bit `i` for instruction `i`).
+    skipped: u32,
+    /// Stable fingerprint of the program so far.
+    fingerprint: u64,
+    /// Time of closed stages.
     closed: f64,
-    /// Per-device computation accumulated in the running stage.
-    stage: Vec<f64>,
     /// Single-device flops of not-yet-produced compute nodes.
     remaining_flops: f64,
     /// Required outputs not yet produced.
-    remaining_required: usize,
-    program: ProgChain,
+    remaining_required: u32,
 }
 
-impl State {
-    fn cost(&self) -> f64 {
-        self.closed + self.stage.iter().cloned().fold(0.0, f64::max)
+/// A state to expand or apply a triple to, borrowed from wherever it lives.
+#[derive(Clone, Copy)]
+struct StateRef<'a> {
+    set: &'a [u64],
+    /// Per-device computation accumulated in the running stage.
+    stage: &'a [f64],
+    closed: f64,
+    remaining_flops: f64,
+    remaining_required: u32,
+}
+
+impl StateRef<'_> {
+    fn stage_max(&self) -> f64 {
+        self.stage.iter().cloned().fold(0.0, f64::max)
     }
 }
 
-/// A frontier entry: a live state plus its cached admissible score.
+/// A successor under construction: [`apply`] overwrites every field, so
+/// one buffer serves a whole expansion.
+struct Succ {
+    set: Vec<u64>,
+    stage: Vec<f64>,
+    closed: f64,
+    remaining_flops: f64,
+    remaining_required: u32,
+    skipped: u32,
+}
+
+impl Succ {
+    fn new(words: usize, m: usize) -> Self {
+        Succ {
+            set: vec![0; words],
+            stage: vec![0.0; m],
+            closed: 0.0,
+            remaining_flops: 0.0,
+            remaining_required: 0,
+            skipped: 0,
+        }
+    }
+
+    /// Overwrites this buffer with a copy of `state`.
+    fn load(&mut self, state: &StateRef) {
+        self.set.copy_from_slice(state.set);
+        self.stage.copy_from_slice(state.stage);
+        self.closed = state.closed;
+        self.remaining_flops = state.remaining_flops;
+        self.remaining_required = state.remaining_required;
+    }
+
+    fn view(&self) -> StateRef<'_> {
+        StateRef {
+            set: &self.set,
+            stage: &self.stage,
+            closed: self.closed,
+            remaining_flops: self.remaining_flops,
+            remaining_required: self.remaining_required,
+        }
+    }
+
+    fn cost(&self) -> f64 {
+        self.closed + self.view().stage_max()
+    }
+}
+
+/// Everything a search commits, in flat vectors indexed by dense ids: the
+/// interned property sets, the best committed cost per set (the dominance
+/// table), and the committed states with their running stages. Written
+/// only by the sequential merge; read by the wave's workers.
+struct Arena {
+    m: usize,
+    sets: SetArena,
+    /// Best committed cost per set id (Fig. 10 lines 9–14).
+    dominance: Vec<f64>,
+    nodes: Vec<Node>,
+    /// `m` running-stage seconds per node.
+    stages: Vec<f64>,
+}
+
+impl Arena {
+    /// An arena holding the root state — no properties, nothing computed —
+    /// committed at cost 0.
+    fn new(theory: &Theory, graph: &Graph, m: usize) -> Self {
+        let words = theory.set_words();
+        let mut sets = SetArena::new(words);
+        let empty = vec![0; words];
+        let (set, _) = sets.insert(&empty, SetArena::hash(&empty));
+        let remaining_flops: f64 = graph
+            .nodes()
+            .iter()
+            .filter(|n| !n.op.is_leaf() && theory.live[n.id])
+            .map(|n| graph.node_flops(n.id))
+            .sum();
+        let root = Node {
+            set,
+            parent: ROOT,
+            triple: ROOT,
+            skipped: 0,
+            fingerprint: FNV_OFFSET,
+            closed: 0.0,
+            remaining_flops,
+            remaining_required: theory.required.len() as u32,
+        };
+        Arena { m, sets, dominance: vec![0.0], nodes: vec![root], stages: vec![0.0; m] }
+    }
+
+    fn state(&self, id: u32) -> StateRef<'_> {
+        let node = &self.nodes[id as usize];
+        StateRef {
+            set: self.sets.get(node.set),
+            stage: &self.stages[id as usize * self.m..][..self.m],
+            closed: node.closed,
+            remaining_flops: node.remaining_flops,
+            remaining_required: node.remaining_required,
+        }
+    }
+
+    fn cost(&self, id: u32) -> f64 {
+        let state = self.state(id);
+        state.closed + state.stage_max()
+    }
+
+    /// Commits a state; returns its id.
+    fn push(&mut self, node: Node, stage: &[f64]) -> u32 {
+        let id = u32::try_from(self.nodes.len()).expect("search state ids exhausted");
+        self.nodes.push(node);
+        self.stages.extend_from_slice(stage);
+        id
+    }
+
+    /// The program of state `id` followed by `(triple, skipped)`.
+    fn program(&self, theory: &Theory, mut id: u32, last: (u32, u32)) -> Vec<DistInstr> {
+        let mut steps = vec![last];
+        while self.nodes[id as usize].parent != ROOT {
+            let node = &self.nodes[id as usize];
+            steps.push((node.triple, node.skipped));
+            id = node.parent;
+        }
+        steps
+            .iter()
+            .rev()
+            .flat_map(|&(t, skipped)| emitted(&theory.triples[t as usize], skipped).cloned())
+            .collect()
+    }
+}
+
+/// The instructions a triple emits when applied with the leaves in
+/// `skipped` already materialized.
+fn emitted(triple: &Triple, skipped: u32) -> impl Iterator<Item = &DistInstr> {
+    triple.instrs.iter().enumerate().filter(move |(i, _)| (skipped >> i) & 1 == 0).map(|(_, i)| i)
+}
+
+/// A frontier entry: a committed state plus its cached admissible score.
 struct Entry {
     score: f64,
     /// Commit sequence number: unique, assigned in deterministic merge
-    /// order, and used both as the heap tie-break (newer first — the
-    /// depth-first bias that reaches complete programs quickly) and as the
-    /// frontier shard selector.
+    /// order, and used as the heap tie-break (newer first — the depth-first
+    /// bias that reaches complete programs quickly).
     seq: u64,
-    state: Box<State>,
+    node: u32,
 }
 
 impl PartialEq for Entry {
@@ -238,102 +346,18 @@ impl PartialOrd for Entry {
     }
 }
 
-/// The open list, sharded into independent binary heaps. Pops scan the
-/// shard heads for the global best — O(shards) per pop, with each push and
-/// sift staying local to one small heap. All mutation happens between
-/// waves on the coordinating thread, so no locking is needed; the sharding
-/// keeps the door open for concurrent in-wave pushes later.
-struct ShardedFrontier {
-    shards: Vec<BinaryHeap<Entry>>,
-}
-
-impl ShardedFrontier {
-    fn new(shards: usize) -> Self {
-        ShardedFrontier { shards: (0..shards).map(|_| BinaryHeap::new()).collect() }
+/// Keeps only the best `beam` entries of the frontier. `(score, seq)` is a
+/// total order, so the kept set — and with it the pop order — is the same
+/// as a full sort would keep; selecting it is linear.
+fn prune_to(frontier: &mut BinaryHeap<Entry>, beam: usize) {
+    let mut entries = std::mem::take(frontier).into_vec();
+    if beam == 0 {
+        entries.clear();
+    } else if entries.len() > beam {
+        entries.select_nth_unstable_by(beam - 1, |a, b| b.cmp(a)); // best first
+        entries.truncate(beam);
     }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(BinaryHeap::len).sum()
-    }
-
-    fn push(&mut self, entry: Entry) {
-        let shard = (entry.seq % self.shards.len() as u64) as usize;
-        self.shards[shard].push(entry);
-    }
-
-    /// Pops the globally best entry (smallest score, newest on ties).
-    fn pop_best(&mut self) -> Option<Entry> {
-        let best = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, heap)| heap.peek().map(|e| (i, e)))
-            .max_by(|(_, a), (_, b)| a.cmp(b))?
-            .0;
-        self.shards[best].pop()
-    }
-
-    fn clear(&mut self) {
-        for shard in &mut self.shards {
-            shard.clear();
-        }
-    }
-
-    /// Keeps only the best `beam` entries (deterministic: the entry order
-    /// `(score, seq)` is a total order).
-    fn prune_to(&mut self, beam: usize) {
-        let mut all: Vec<Entry> = Vec::with_capacity(self.len());
-        for shard in &mut self.shards {
-            all.extend(std::mem::take(shard).into_vec());
-        }
-        all.sort_unstable_by(|a, b| b.cmp(a)); // best first
-        all.truncate(beam);
-        for entry in all {
-            self.push(entry);
-        }
-    }
-}
-
-/// Per-property-set best-cost map (Fig. 10 lines 9–14). Keys are interner
-/// ids — a `u32` copy instead of a heap-allocated set clone per entry, and
-/// a 4-byte hash per probe instead of re-hashing the whole set. Shards are
-/// still picked by the memoized *content* hash, so the shard population
-/// (irrelevant to results, but kept reproducible anyway) is identical run
-/// to run even though id values are assigned in thread-timing order.
-/// During a wave, expansion workers take uncontended read locks; every
-/// write happens in the sequential merge between waves, so lookups are
-/// deterministic.
-struct DominanceMap {
-    shards: Vec<RwLock<HashMap<u32, f64>>>,
-}
-
-impl DominanceMap {
-    fn new(shards: usize) -> Self {
-        debug_assert!(shards.is_power_of_two());
-        DominanceMap { shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect() }
-    }
-
-    fn shard(&self, key: &InternedProps) -> &RwLock<HashMap<u32, f64>> {
-        &self.shards[(key.stable_hash() as usize) & (self.shards.len() - 1)]
-    }
-
-    /// The best known cost of `key`, if any (read lock).
-    fn bound(&self, key: &InternedProps) -> Option<f64> {
-        self.shard(key).read().expect("dominance shard poisoned").get(&key.id()).copied()
-    }
-
-    /// Records `cost` for `key` unless an existing entry already dominates
-    /// it; returns whether the entry was inserted (write lock).
-    fn try_commit(&self, key: &InternedProps, cost: f64) -> bool {
-        let mut map = self.shard(key).write().expect("dominance shard poisoned");
-        match map.get(&key.id()) {
-            Some(&c) if c <= cost + EPS => false,
-            _ => {
-                map.insert(key.id(), cost);
-                true
-            }
-        }
-    }
+    *frontier = BinaryHeap::from(entries);
 }
 
 /// The search's cost oracle.
@@ -474,7 +498,9 @@ pub struct SynthProfile {
     pub incumbent_pruned: u64,
     /// Largest frontier observed at a wave boundary.
     pub frontier_peak: u64,
-    /// State boxes retired into the recycling arena.
+    /// Search states retired by the wave merge: the wave's expanded states
+    /// plus the candidates it did not commit. A storage statistic, not a
+    /// search decision.
     pub recycled: u64,
     /// 1 if a warm-start program was accepted as the initial incumbent
     /// (summed across rounds when profiles are merged).
@@ -520,19 +546,85 @@ impl SynthProfile {
 /// The best complete program found so far.
 struct Incumbent {
     cost: f64,
-    program: ProgChain,
+    program: Vec<DistInstr>,
 }
 
 /// A successor produced by a wave expansion, not yet committed.
-struct Candidate {
+#[derive(Clone, Copy)]
+struct Cand {
     score: f64,
     cost: f64,
     /// Stable program fingerprint — the cross-thread-count tie-break.
     fingerprint: u64,
-    state: Box<State>,
+    /// Position of the parent in its wave.
+    src: u32,
+    /// Position of this candidate in its [`Expansion`].
+    slot: u32,
+    triple: u32,
+    skipped: u32,
+    /// Interned set id, or [`NEW_SET`].
+    set: u32,
+    /// For a [`NEW_SET`] candidate, the index of its words in
+    /// [`Expansion::new_sets`].
+    new_set: u32,
+    closed: f64,
+    remaining_flops: f64,
+    remaining_required: u32,
 }
 
-const EPS: f64 = 1e-12;
+/// One wave state's surviving successors, in theory order, with their
+/// running stages and not-yet-interned sets in flat buffers.
+struct Expansion {
+    cands: Vec<Cand>,
+    /// `m` stage seconds per candidate.
+    stages: Vec<f64>,
+    /// The words of each [`NEW_SET`] candidate's set.
+    new_sets: Vec<u64>,
+}
+
+impl Expansion {
+    fn new() -> Self {
+        Expansion { cands: Vec::new(), stages: Vec::new(), new_sets: Vec::new() }
+    }
+
+    /// Records `succ` as a candidate; `set` is its interned id or
+    /// [`NEW_SET`], in which case its words are copied.
+    #[allow(clippy::too_many_arguments)]
+    fn push(
+        &mut self,
+        succ: &Succ,
+        score: f64,
+        cost: f64,
+        fingerprint: u64,
+        src: u32,
+        triple: u32,
+        set: u32,
+    ) -> &Cand {
+        let new_set = if set == NEW_SET {
+            let index = self.new_sets.len() / succ.set.len();
+            self.new_sets.extend_from_slice(&succ.set);
+            index as u32
+        } else {
+            0
+        };
+        self.stages.extend_from_slice(&succ.stage);
+        self.cands.push(Cand {
+            score,
+            cost,
+            fingerprint,
+            src,
+            slot: self.cands.len() as u32,
+            triple,
+            skipped: succ.skipped,
+            set,
+            new_set,
+            closed: succ.closed,
+            remaining_flops: succ.remaining_flops,
+            remaining_required: succ.remaining_required,
+        });
+        self.cands.last().expect("just pushed")
+    }
+}
 
 /// Synthesizes the optimal distributed program for `graph` under sharding
 /// ratios `ratios` on the given devices.
@@ -629,34 +721,19 @@ fn synthesize_core(
     let cm = CostModel::new(graph, devices, profile, ratios);
     let tables = CostTables::build(&cm);
     let costs = CostSource::Tables(&tables);
-    let interner = PropInterner::new();
     let m = cm.num_devices();
     let pool = ThreadPool::new(config.threads);
-
-    let total_remaining: f64 = graph
-        .nodes()
-        .iter()
-        .filter(|n| !n.op.is_leaf() && theory.live[n.id])
-        .map(|n| graph.node_flops(n.id))
-        .sum();
-    let required_count = theory.required.len();
-
-    let initial = State {
-        props: interner.intern(PropSet::new()),
-        closed: 0.0,
-        stage: vec![0.0; m],
-        remaining_flops: total_remaining,
-        remaining_required: required_count,
-        program: ProgChain::new(),
-    };
+    let mut arena = Arena::new(theory, graph, m);
+    let debug = std::env::var_os("HAP_SYNTH_DEBUG").is_some();
 
     // Seed the incumbent with a greedy descent: every later state whose
     // score cannot beat it is pruned, which bounds the exploration
     // (branch-and-bound on top of A*).
     let greedy_t0 = Instant::now();
-    let mut incumbent: Option<Incumbent> = greedy_seed(&initial, theory, &costs, &interner, graph)
-        .map(|(cost, program)| Incumbent { cost, program });
-    if std::env::var_os("HAP_SYNTH_DEBUG").is_some() {
+    let mut incumbent: Option<Incumbent> =
+        greedy_seed(arena.state(0), theory, &costs, graph.len(), debug)
+            .map(|(cost, program)| Incumbent { cost, program });
+    if debug {
         eprintln!(
             "greedy: {:?}, incumbent = {:?}",
             greedy_t0.elapsed(),
@@ -670,19 +747,16 @@ fn synthesize_core(
     if let Some(warm) = warm_start {
         let warm_cost = replay_cost(warm, &costs, m);
         if incumbent.as_ref().is_none_or(|inc| warm_cost < inc.cost - EPS) {
-            incumbent = Some(Incumbent { cost: warm_cost, program: ProgChain::from_program(warm) });
+            incumbent = Some(Incumbent { cost: warm_cost, program: warm.instrs.clone() });
             prof.warm_seeded = 1;
         }
     }
 
-    let dominance = DominanceMap::new(DOMINANCE_SHARDS);
-    dominance.try_commit(&initial.props, 0.0);
-
-    let mut frontier = ShardedFrontier::new(FRONTIER_SHARDS);
+    let mut frontier = BinaryHeap::new();
     frontier.push(Entry {
-        score: costs.best_case_seconds(total_remaining),
+        score: costs.best_case_seconds(arena.nodes[0].remaining_flops),
         seq: 0,
-        state: Box::new(initial),
+        node: 0,
     });
     let mut seq = 1u64;
 
@@ -695,11 +769,6 @@ fn synthesize_core(
 
     let mut expansions = 0usize;
     let mut last_improvement = 0usize;
-
-    // Recycling arena: each wave's discarded state boxes feed the next
-    // wave's allocations. Shared across workers (batched, so the lock is
-    // touched twice per expand call, not per successor).
-    let recycle = StatePool::new();
 
     loop {
         if out_of_time.load(AtomicOrdering::Relaxed) || Instant::now() >= deadline {
@@ -714,7 +783,7 @@ fn synthesize_core(
         }
         let budget_left = config.max_expansions.saturating_sub(expansions);
         if budget_left == 0 {
-            if std::env::var_os("HAP_SYNTH_DEBUG").is_some() {
+            if debug {
                 eprintln!(
                     "astar: expansion budget {} exhausted over {} threads, frontier {}",
                     config.max_expansions,
@@ -723,15 +792,15 @@ fn synthesize_core(
                 );
             }
             return incumbent
-                .map(|inc| inc.program.to_program(inc.cost))
+                .map(Incumbent::into_program)
                 .ok_or(SynthError::ExpansionLimit(config.max_expansions));
         }
 
         // Pop the wave: the globally best states, skipping entries that a
         // cheaper path to the same property set has made stale.
-        let mut wave: Vec<Box<State>> = Vec::with_capacity(WAVE_WIDTH.min(budget_left));
+        let mut wave: Vec<u32> = Vec::with_capacity(WAVE_WIDTH.min(budget_left));
         while wave.len() < WAVE_WIDTH.min(budget_left) {
-            let Some(entry) = frontier.pop_best() else { break };
+            let Some(entry) = frontier.pop() else { break };
             if let Some(inc) = &incumbent {
                 if entry.score >= inc.cost - EPS {
                     // A* optimality: this is the frontier's minimum score,
@@ -740,14 +809,12 @@ fn synthesize_core(
                     break;
                 }
             }
-            match dominance.bound(&entry.state.props) {
-                Some(c) if c < entry.state.cost() - EPS => {
-                    prof.dominance_stale += 1;
-                    continue; // stale
-                }
-                _ => {}
+            let set = arena.nodes[entry.node as usize].set;
+            if arena.dominance[set as usize] < arena.cost(entry.node) - EPS {
+                prof.dominance_stale += 1;
+                continue; // stale
             }
-            wave.push(entry.state);
+            wave.push(entry.node);
         }
         if wave.is_empty() {
             break; // frontier exhausted or optimality proven
@@ -756,36 +823,24 @@ fn synthesize_core(
         prof.waves += 1;
         prof.expansions += wave.len() as u64;
 
-        // Scatter: expand every wave state in parallel. The dominance map
-        // and incumbent are frozen for the duration, so workers only do
+        // Scatter: expand every wave state in parallel. The arena and the
+        // incumbent are frozen for the duration, so workers only do
         // deterministic reads.
         let incumbent_cost = incumbent.as_ref().map(|i| i.cost);
-        let expanded: Vec<Vec<Candidate>> = pool.scatter_map(&wave, |_, state| {
-            expand(
-                state,
-                theory,
-                &costs,
-                &interner,
-                graph,
-                incumbent_cost,
-                &dominance,
-                &recycle,
-                &out_of_time,
-                deadline,
-            )
+        let expanded: Vec<Expansion> = pool.scatter_map(&wave, |src, &node| {
+            expand(&arena, node, src as u32, theory, &costs, incumbent_cost, &out_of_time, deadline)
         });
         if out_of_time.load(AtomicOrdering::Relaxed) {
             // The wave was abandoned mid-expansion; its partial candidates
             // are discarded so the result is the last wave's incumbent.
             return budget_fallback(incumbent, expansions);
         }
-        // The wave is spent: its boxes seed the next wave's successors.
         prof.recycled += wave.len() as u64;
-        recycle.give(&mut wave);
 
         // Gather: merge the wave's candidates in a stable, thread-count
         // independent order before any of them takes effect.
-        let mut candidates: Vec<Candidate> = expanded.into_iter().flatten().collect();
+        let mut candidates: Vec<Cand> =
+            expanded.iter().flat_map(|e| e.cands.iter().copied()).collect();
         prof.candidates += candidates.len() as u64;
         candidates.sort_by(|a, b| {
             a.score
@@ -794,60 +849,87 @@ fn synthesize_core(
                 .then_with(|| a.fingerprint.cmp(&b.fingerprint))
         });
 
-        // Commit sequentially in merge order. Rejected candidates retire
-        // their boxes to the arena in one batch at the end.
-        let mut retired: Vec<Box<State>> = Vec::new();
-        for cand in candidates {
+        // Commit sequentially in merge order: intern new sets, then the
+        // dominance entry, the state, and its frontier entry.
+        let words = theory.set_words();
+        for cand in &candidates {
             if let Some(inc) = &incumbent {
                 if cand.score >= inc.cost - EPS {
                     prof.incumbent_pruned += 1;
-                    retired.push(cand.state); // cannot beat the incumbent
-                    continue;
+                    prof.recycled += 1;
+                    continue; // cannot beat the incumbent
                 }
             }
-            if cand.state.remaining_required == 0 {
+            let parent = wave[cand.src as usize];
+            if cand.remaining_required == 0 {
                 // Complete and strictly better (score == cost passed the
                 // bound above). Equal-cost ties resolve to the candidate
                 // with the smaller fingerprint: it commits first in merge
                 // order and the bound then filters the rest.
-                let mut state = cand.state;
-                let program = std::mem::replace(&mut state.program, ProgChain::new());
+                let program = arena.program(theory, parent, (cand.triple, cand.skipped));
                 incumbent = Some(Incumbent { cost: cand.cost, program });
-                retired.push(state);
                 last_improvement = expansions;
                 prof.improvements += 1;
+                prof.recycled += 1;
                 continue;
             }
-            if !dominance.try_commit(&cand.state.props, cand.cost) {
+            let expansion = &expanded[cand.src as usize];
+            let set = if cand.set == NEW_SET {
+                let set = &expansion.new_sets[cand.new_set as usize * words..][..words];
+                let (id, fresh) = arena.sets.insert(set, SetArena::hash(set));
+                if fresh {
+                    arena.dominance.push(f64::INFINITY);
+                }
+                id
+            } else {
+                cand.set
+            };
+            if arena.dominance[set as usize] <= cand.cost + EPS {
                 prof.dominance_pruned += 1;
-                retired.push(cand.state);
+                prof.recycled += 1;
                 continue;
             }
-            frontier.push(Entry { score: cand.score, seq, state: cand.state });
+            arena.dominance[set as usize] = cand.cost;
+            let node = arena.push(
+                Node {
+                    set,
+                    parent,
+                    triple: cand.triple,
+                    skipped: cand.skipped,
+                    fingerprint: cand.fingerprint,
+                    closed: cand.closed,
+                    remaining_flops: cand.remaining_flops,
+                    remaining_required: cand.remaining_required,
+                },
+                &expansion.stages[cand.slot as usize * m..][..m],
+            );
+            frontier.push(Entry { score: cand.score, seq, node });
             seq += 1;
             prof.committed += 1;
         }
-        prof.recycled += retired.len() as u64;
-        recycle.give(&mut retired);
 
         if let Some(beam) = config.beam_width {
             if frontier.len() > beam * 2 {
-                frontier.prune_to(beam);
+                prune_to(&mut frontier, beam);
             }
         }
         prof.frontier_peak = prof.frontier_peak.max(frontier.len() as u64);
     }
 
-    if std::env::var_os("HAP_SYNTH_DEBUG").is_some() {
+    if debug {
         eprintln!(
-            "astar: {expansions} expansions over {} threads, frontier {} at exit",
+            "astar: {expansions} expansions over {} threads, frontier {} at exit, {} sets",
             pool.threads(),
-            frontier.len()
+            frontier.len(),
+            arena.sets.len()
         );
     }
-    match incumbent {
-        Some(inc) => Ok(inc.program.to_program(inc.cost)),
-        None => Err(SynthError::NoProgram),
+    incumbent.map(Incumbent::into_program).ok_or(SynthError::NoProgram)
+}
+
+impl Incumbent {
+    fn into_program(self) -> DistProgram {
+        DistProgram { instrs: self.program, estimated_time: self.cost }
     }
 }
 
@@ -856,275 +938,235 @@ fn budget_fallback(
     incumbent: Option<Incumbent>,
     expansions: usize,
 ) -> Result<DistProgram, SynthError> {
-    incumbent
-        .map(|inc| inc.program.to_program(inc.cost))
-        .ok_or(SynthError::ExpansionLimit(expansions))
+    incumbent.map(Incumbent::into_program).ok_or(SynthError::ExpansionLimit(expansions))
 }
 
-/// Expands one state against the whole theory, returning its surviving
-/// successors. Runs on worker threads: reads the frozen dominance map and
-/// incumbent bound, writes nothing (the interner is append-only and
-/// content-addressed), and polls the shared deadline flag. The whole triple
-/// scan is allocation-free — cost lookups are table reads, previews reuse
-/// one scratch buffer — until a successor actually survives the bounds.
+/// Expands committed state `node` (wave slot `src`), returning its
+/// surviving successors. Runs on worker threads: reads the frozen arena and
+/// incumbent bound, writes nothing shared, and polls the shared deadline
+/// flag. Only the triples the theory's index offers for the state's set are
+/// visited, in theory order; each is tested, previewed against the bound
+/// without building anything, and only then built into one reused
+/// successor buffer.
 #[allow(clippy::too_many_arguments)]
 fn expand(
-    cur: &State,
+    arena: &Arena,
+    node: u32,
+    src: u32,
     theory: &Theory,
     costs: &CostSource,
-    interner: &PropInterner,
-    graph: &Graph,
     incumbent_cost: Option<f64>,
-    dominance: &DominanceMap,
-    recycle: &StatePool,
     out_of_time: &AtomicBool,
     deadline: Instant,
-) -> Vec<Candidate> {
-    let mut out = Vec::new();
-    let mut scratch = vec![0.0; cur.stage.len()];
-    // Local freelist of recycled boxes: successors are built into these
-    // when available, and bound-rejected successors go straight back on.
-    let mut local: Vec<Box<State>> = Vec::new();
-    recycle.take(&mut local);
-    let cur_stage_max = cur.stage.iter().cloned().fold(0.0, f64::max);
-    for (k, triple) in theory.triples.iter().enumerate() {
-        if k % DEADLINE_STRIDE == 0 {
-            if out_of_time.load(AtomicOrdering::Relaxed) {
-                recycle.give(&mut local);
-                return out;
-            }
-            if Instant::now() >= deadline {
-                out_of_time.store(true, AtomicOrdering::Relaxed);
-                recycle.give(&mut local);
-                return out;
-            }
+) -> Expansion {
+    let cur = arena.state(node);
+    let parent_fingerprint = arena.nodes[node as usize].fingerprint;
+    let mut out = Expansion::new();
+    let mut scratch = vec![0.0; arena.m];
+    let mut succ = Succ::new(theory.set_words(), arena.m);
+    let mut triples = Vec::new();
+    theory.candidates(cur.set, &mut triples);
+    let cur_stage_max = cur.stage_max();
+    for (k, &t) in triples.iter().enumerate() {
+        if k % DEADLINE_STRIDE == 0
+            && (out_of_time.load(AtomicOrdering::Relaxed) || Instant::now() >= deadline)
+        {
+            out_of_time.store(true, AtomicOrdering::Relaxed);
+            return out;
         }
-        if !triple_applicable(&cur.props, triple) {
+        if !applicable(cur.set, theory.bits(t)) {
             continue;
         }
         if let Some(bound) = incumbent_cost {
-            let (pcost, premaining) =
-                preview(cur, cur_stage_max, triple, costs, theory, &mut scratch);
+            let (pcost, premaining) = preview(&cur, cur_stage_max, t, theory, costs, &mut scratch);
             if pcost + costs.best_case_seconds(premaining) >= bound - EPS {
-                continue; // cannot beat the incumbent: skip without allocating
+                continue; // cannot beat the incumbent: skip without building
             }
         }
-        let succ = match local.pop() {
-            Some(mut slot) => {
-                apply_into(cur, triple, costs, interner, theory, graph, &mut slot);
-                slot
-            }
-            None => Box::new(apply(cur, triple, costs, interner, theory, graph)),
-        };
+        apply(&cur, t, theory, costs, &mut succ);
         let cost = succ.cost();
         if let Some(bound) = incumbent_cost {
             if cost >= bound - EPS {
-                local.push(succ);
                 continue;
             }
         }
-        if succ.remaining_required == 0 {
-            let fingerprint = succ.program.fingerprint();
-            out.push(Candidate { score: cost, cost, fingerprint, state: succ });
-            continue;
-        }
-        if let Some(c) = dominance.bound(&succ.props) {
-            if c <= cost + EPS {
-                local.push(succ); // dominated by a previous wave
-                continue;
+        let (score, set) = if succ.remaining_required == 0 {
+            (cost, NEW_SET) // complete: becomes an incumbent, never a state
+        } else {
+            let set = match arena.sets.find(&succ.set, SetArena::hash(&succ.set)) {
+                Some(id) if arena.dominance[id as usize] <= cost + EPS => {
+                    continue; // dominated by a previous wave
+                }
+                Some(id) => id,
+                None => NEW_SET,
+            };
+            let score = cost + costs.best_case_seconds(succ.remaining_flops);
+            if let Some(bound) = incumbent_cost {
+                if score >= bound - EPS {
+                    continue; // admissible score cannot beat the incumbent
+                }
             }
-        }
-        let score = cost + costs.best_case_seconds(succ.remaining_flops);
-        if let Some(bound) = incumbent_cost {
-            if score >= bound - EPS {
-                local.push(succ); // admissible score cannot beat the incumbent
-                continue;
-            }
-        }
-        let fingerprint = succ.program.fingerprint();
-        out.push(Candidate { score, cost, fingerprint, state: succ });
+            (score, set)
+        };
+        let fingerprint = emitted(&theory.triples[t as usize], succ.skipped)
+            .fold(parent_fingerprint, |h, instr| instr.mix_fingerprint(h));
+        out.push(&succ, score, cost, fingerprint, src, t, set);
     }
-    recycle.give(&mut local);
     out
 }
 
-/// Greedy descent to an initial complete program: from the empty state,
-/// repeatedly apply the successor with the best score. Returns `None` when
-/// the descent stalls (the A\* then runs unseeded).
+/// Greedy descent to an initial complete program: from the root state,
+/// repeatedly apply the best-scoring triple that produces a live node not
+/// yet computed; only when none applies, the best-scoring "filler"
+/// (a collective or an alternative placement) that reaches an unseen set
+/// and unblocks such a triple. Returns `None` when the descent stalls (the
+/// A\* then runs unseeded).
 fn greedy_seed(
-    initial: &State,
+    root: StateRef,
     theory: &Theory,
     costs: &CostSource,
-    interner: &PropInterner,
-    graph: &Graph,
-) -> Option<(f64, ProgChain)> {
-    let mut cur = clone_state(initial);
-    // Been-here check: stable-hash buckets with exact compare inside, so
-    // wide graphs don't pay the old linear scan over every seen set.
-    let mut seen_keys: HashMap<u64, Vec<PropSet>> = HashMap::new();
-    let mut scratch = vec![0.0; initial.stage.len()];
-    let debug = std::env::var_os("HAP_SYNTH_DEBUG").is_some();
-    let mut trace: Vec<String> = Vec::new();
-    for _ in 0..graph.len().saturating_mul(8).max(64) {
+    graph_len: usize,
+    debug: bool,
+) -> Option<(f64, Vec<DistInstr>)> {
+    let words = theory.set_words();
+    let m = root.stage.len();
+    let mut cur = Succ::new(words, m);
+    cur.load(&root);
+    let mut next = Succ::new(words, m);
+    let mut probe = vec![0u64; words];
+    let mut program: Vec<DistInstr> = Vec::new();
+    // Been-here check over the sets the descent has moved to.
+    let mut seen = SetArena::new(words);
+    let mut scratch = vec![0.0; m];
+    let mut triples = Vec::new();
+    for _ in 0..graph_len.saturating_mul(8).max(64) {
         if cur.remaining_required == 0 {
-            return Some((cur.cost(), cur.program));
+            return Some((cur.cost(), program));
         }
-        // Progress-first: prefer the cheapest successor that produces a
-        // node not yet computed; only when none applies fall back to
-        // "filler" moves (collectives and alternative placements) that can
-        // unblock one. Candidates are scored with the cheap preview; only
-        // the winner's state is constructed.
-        let mut best_progress: Option<(f64, &Triple)> = None;
-        let mut best_filler: Option<(f64, &Triple)> = None;
-        let cur_stage_max = cur.stage.iter().cloned().fold(0.0, f64::max);
-        for triple in &theory.triples {
-            if !triple_applicable(&cur.props, triple) {
-                continue;
-            }
-            let progress = theory.live[triple.output] && !cur.props.has_node(triple.output);
-            if !progress && best_progress.is_some() {
-                continue; // filler can't win once progress exists
-            }
-            let (pcost, premaining) =
-                preview(&cur, cur_stage_max, triple, costs, theory, &mut scratch);
-            let score = pcost + costs.best_case_seconds(premaining);
-            if progress {
-                if best_progress.as_ref().is_none_or(|(bs, _)| score < *bs) {
-                    best_progress = Some((score, triple));
-                }
-            } else {
-                let cheaper = best_filler.as_ref().is_none_or(|(bs, _)| score < *bs);
-                if cheaper {
-                    // One-step lookahead: a filler is only useful if it
-                    // unblocks the computation of an unproduced node. Only
-                    // the successor's property set matters here, so the
-                    // full state (stage costs, program chain, interning) is
-                    // never constructed.
-                    let succ_props = apply_props(&cur.props, triple);
-                    let unseen = !seen_keys
-                        .get(&succ_props.stable_hash())
-                        .is_some_and(|bucket| bucket.contains(&succ_props));
-                    if unseen && enables_progress(&succ_props, theory) {
-                        best_filler = Some((score, triple));
-                    }
+        let view = cur.view();
+        let cur_stage_max = view.stage_max();
+        theory.candidates(view.set, &mut triples);
+        // Candidates are scored with the cheap preview; only the winner's
+        // state is built. Ties go to the first triple in theory order.
+        let mut best: Option<(f64, u32)> = None;
+        for &t in &triples {
+            let output = theory.triples[t as usize].output;
+            let progress = theory.live[output] && !theory.has_node(view.set, output);
+            if progress && applicable(view.set, theory.bits(t)) {
+                let (pcost, premaining) =
+                    preview(&view, cur_stage_max, t, theory, costs, &mut scratch);
+                let score = pcost + costs.best_case_seconds(premaining);
+                if best.is_none_or(|(bs, _)| score < bs) {
+                    best = Some((score, t));
                 }
             }
         }
-        let next = match best_progress.or(best_filler) {
-            Some((_, triple)) => apply(&cur, triple, costs, interner, theory, graph),
-            None => {
-                if debug {
-                    eprintln!(
-                        "greedy stalled: {} required outputs missing; props = {:?}",
-                        cur.remaining_required,
-                        cur.props.props()
-                    );
+        if best.is_none() {
+            // No progress triple applies, so every applicable triple is a
+            // filler. One is useful only if its successor set is new to the
+            // descent and lets some progress triple fire; only the set
+            // matters, so the full successor is never built.
+            for &t in &triples {
+                let bits = theory.bits(t);
+                if !applicable(view.set, bits) {
+                    continue;
                 }
-                return None;
+                let (pcost, premaining) =
+                    preview(&view, cur_stage_max, t, theory, costs, &mut scratch);
+                let score = pcost + costs.best_case_seconds(premaining);
+                if !best.is_none_or(|(bs, _)| score < bs) {
+                    continue;
+                }
+                probe.copy_from_slice(view.set);
+                if let Some(c) = bits.comm {
+                    set_bit(&mut probe, c);
+                }
+                for &b in bits.post.iter() {
+                    set_bit(&mut probe, b);
+                }
+                let unseen = seen.find(&probe, SetArena::hash(&probe)).is_none();
+                if unseen && unblocks_progress(view.set, &probe, bits, theory) {
+                    best = Some((score, t));
+                }
             }
+        }
+        let Some((_, t)) = best else {
+            if debug {
+                eprintln!(
+                    "greedy stalled: {} required outputs missing after {} instructions",
+                    cur.remaining_required,
+                    program.len()
+                );
+            }
+            return None;
         };
-        if debug {
-            if let Some(instr) = next.program.last() {
-                trace.push(format!("{instr:?}"));
-            }
-        }
-        seen_keys.entry(next.props.stable_hash()).or_default().push(PropSet::clone(&next.props));
-        cur = next;
+        apply(&view, t, theory, costs, &mut next);
+        program.extend(emitted(&theory.triples[t as usize], next.skipped).cloned());
+        seen.insert(&next.set, SetArena::hash(&next.set));
+        std::mem::swap(&mut cur, &mut next);
     }
     if debug {
         eprintln!(
-            "greedy ran out of steps: {} required missing, {} props",
+            "greedy ran out of steps: {} required outputs missing after {} instructions",
             cur.remaining_required,
-            cur.props.len()
+            program.len()
         );
-        eprintln!(
-            "missing required: {:?}",
-            theory.required.iter().filter(|&&r| !cur.props.has_node(r)).collect::<Vec<_>>()
-        );
-        for (i, line) in trace.iter().enumerate() {
-            eprintln!("  step {i}: {line}");
-        }
     }
     None
 }
 
-/// True if some not-yet-produced node's triple becomes applicable under
-/// `props`.
-fn enables_progress(props: &PropSet, theory: &Theory) -> bool {
-    theory.triples.iter().any(|t| {
-        theory.live[t.output]
-            && !props.has_node(t.output)
-            && t.comm_node.is_none_or(|e| !props.is_communicated(e))
-            && props.contains_all(&t.pre)
+/// True if a filler with compiled bits `filler`, taking the set `cur` to
+/// `succ`, lets some compute triple fire that produces a live node not yet
+/// produced.
+///
+/// Only triples consuming one of the filler's new properties are checked.
+/// That is exact when no progress triple applies to `cur` (the greedy's
+/// filler phase): a filler produces no new live node, so such a triple's
+/// output is equally unproduced under `cur`; had its precondition held in
+/// `cur` it would have applied there, so the precondition must contain a
+/// property only `succ` has. A communication triple never counts, because
+/// its precondition is a property of its own output node.
+fn unblocks_progress(cur: &[u64], succ: &[u64], filler: TripleBits, theory: &Theory) -> bool {
+    filler.post.iter().filter(|&&b| !has_bit(cur, b)).any(|&b| {
+        theory.pre_index_of(b).iter().any(|&c| {
+            let output = theory.triples[c].output;
+            theory.live[output]
+                && !theory.has_node(succ, output)
+                && theory.bits(c as u32).pre.iter().all(|&p| has_bit(succ, p))
+        })
     })
 }
 
-/// True when `triple` can fire on `props`: its communication (if any) has
-/// not already happened, its precondition holds, and it establishes at
-/// least one new property. The one applicability predicate shared by
-/// [`expand`], the greedy seed, and the hot-path workload builder, so the
-/// three can never drift apart.
-fn triple_applicable(props: &PropSet, triple: &Triple) -> bool {
-    if let Some(e) = triple.comm_node {
-        if props.is_communicated(e) {
+/// True when a triple with compiled bits `bits` can fire on `set`: its
+/// communication (if any) has not already happened, its precondition
+/// holds, and it establishes at least one new property. The one
+/// applicability predicate shared by [`expand`], the greedy seed, and the
+/// hot-path workload, so the three can never drift apart.
+#[inline]
+fn applicable(set: &[u64], bits: TripleBits) -> bool {
+    if let Some(c) = bits.comm {
+        if has_bit(set, c) {
             return false;
         }
     }
-    props.contains_all(&triple.pre) && !triple.post.iter().all(|p| props.contains(p))
+    bits.pre.iter().all(|&b| has_bit(set, b)) && !bits.post.iter().all(|&b| has_bit(set, b))
 }
 
-/// Applies the property-set effect of a triple to `props` — communicated
-/// markers of its collectives, then its postcondition — invoking
-/// `on_new_node` for every graph node that first becomes produced. The one
-/// source of truth for set effects: [`apply`] layers cost, program, and
-/// remaining-work bookkeeping on top, [`apply_props`] uses it bare.
-fn apply_props_into(props: &mut PropSet, triple: &Triple, mut on_new_node: impl FnMut(NodeId)) {
-    for instr in &triple.instrs {
-        if let DistInstr::Collective { node, .. } = instr {
-            props.mark_communicated(*node);
-        }
-    }
-    for &p in &triple.post {
-        let newly_produced = !props.has_node(p.0);
-        if props.insert(p) && newly_produced {
-            on_new_node(p.0);
-        }
-    }
-}
-
-/// Applies only the property-set effect of a triple — the greedy one-step
-/// lookahead needs the successor's identity, not its cost or program.
-fn apply_props(cur: &PropSet, triple: &Triple) -> PropSet {
-    let mut props = cur.clone();
-    apply_props_into(&mut props, triple, |_| {});
-    props
-}
-
-fn clone_state(s: &State) -> State {
-    State {
-        props: s.props.clone(),
-        closed: s.closed,
-        stage: s.stage.clone(),
-        remaining_flops: s.remaining_flops,
-        remaining_required: s.remaining_required,
-        program: s.program.clone(),
-    }
-}
-
-/// Cheaply previews the cost and remaining-work bound of applying a triple,
-/// without constructing the successor state or allocating: `scratch` (one
-/// per expanding worker, reused across the whole triple scan) holds the
-/// in-progress stage vector whenever the triple touches it, and
-/// `cur_stage_max` is the precomputed makespan of the state's running stage
-/// (invariant across the scan, so callers hoist it out of the loop).
+/// Cheaply previews the cost and remaining-work bound of applying triple
+/// `t`, without building the successor or allocating: `scratch` (one per
+/// expansion, reused across its triples) holds the in-progress stage vector
+/// whenever the triple touches it, and `cur_stage_max` is the precomputed
+/// makespan of the state's running stage (invariant across the expansion,
+/// so callers hoist it out of the loop).
 fn preview(
-    cur: &State,
+    cur: &StateRef,
     cur_stage_max: f64,
-    triple: &Triple,
-    costs: &CostSource,
+    t: u32,
     theory: &Theory,
+    costs: &CostSource,
     scratch: &mut [f64],
 ) -> (f64, f64) {
+    let triple = &theory.triples[t as usize];
     let mut closed = cur.closed;
     let mut stage_max = cur_stage_max;
     // True once `scratch` holds the running stage (after the first compute
@@ -1139,7 +1181,7 @@ fn preview(
                     costs.add_compute_max(scratch, *node, rule)
                 } else {
                     scratch_live = true;
-                    costs.set_compute_max(scratch, &cur.stage, *node, rule)
+                    costs.set_compute_max(scratch, cur.stage, *node, rule)
                 };
             }
             DistInstr::Collective { node, kind } => {
@@ -1152,100 +1194,63 @@ fn preview(
     }
     let mut remaining = cur.remaining_flops;
     for &(n, _) in &triple.post {
-        if !cur.props.has_node(n) && theory.live[n] {
+        if !theory.has_node(cur.set, n) && theory.live[n] {
             remaining = (remaining - costs.node_flops(n)).max(0.0);
         }
     }
     (closed + stage_max, remaining)
 }
 
-/// Applies a triple to a state, producing the successor. This is the one
-/// genuine mutation point of a state's property set: callers only reach it
-/// for triples that change the set, so the copy-on-write clone of the
-/// interned set (and the re-intern of the result) happens exactly here.
-fn apply(
-    cur: &State,
-    triple: &Triple,
-    costs: &CostSource,
-    interner: &PropInterner,
-    theory: &Theory,
-    graph: &Graph,
-) -> State {
-    let mut out = State {
-        props: cur.props.clone(),
-        closed: 0.0,
-        stage: Vec::with_capacity(cur.stage.len()),
-        remaining_flops: 0.0,
-        remaining_required: 0,
-        program: ProgChain::new(),
-    };
-    apply_into(cur, triple, costs, interner, theory, graph, &mut out);
-    out
-}
-
-/// [`apply`] into a recycled slot: identical arithmetic operation for
-/// operation, but the successor overwrites `slot`, reusing its `stage`
-/// buffer's capacity instead of allocating a fresh one. This is the
-/// [`StatePool`] fast path; `slot`'s prior contents are irrelevant.
-#[allow(clippy::too_many_arguments)]
-fn apply_into(
-    cur: &State,
-    triple: &Triple,
-    costs: &CostSource,
-    interner: &PropInterner,
-    theory: &Theory,
-    graph: &Graph,
-    slot: &mut State,
-) {
-    let mut props = PropSet::clone(&cur.props);
+/// Applies triple `t` to `cur`, overwriting `out` with the successor: the
+/// one place a state's property set, stage costs and remaining work change.
+fn apply(cur: &StateRef, t: u32, theory: &Theory, costs: &CostSource, out: &mut Succ) {
+    let triple = &theory.triples[t as usize];
+    let bits = theory.bits(t);
+    out.set.copy_from_slice(cur.set);
+    out.stage.copy_from_slice(cur.stage);
     let mut closed = cur.closed;
-    let stage = &mut slot.stage;
-    stage.clear();
-    stage.extend_from_slice(&cur.stage);
-    let mut remaining_flops = cur.remaining_flops;
-    let mut remaining_required = cur.remaining_required;
-    let mut program = cur.program.clone();
-
-    for instr in &triple.instrs {
+    let mut skipped = 0u32;
+    for (i, instr) in triple.instrs.iter().enumerate() {
         match instr {
-            DistInstr::Leaf { node, placement } => {
+            DistInstr::Leaf { .. } => {
                 // Re-materializing an already-available leaf is skipped.
                 // Postconditions (including this leaf's property) are
-                // applied after the loop, so `props` still reflects the
-                // predecessor here.
-                if props.contains(&(*node, *placement)) {
-                    continue;
+                // applied after the loop, so `cur.set` is the right test.
+                if has_bit(cur.set, bits.leaf[i]) {
+                    skipped |= 1 << i;
                 }
-                program = program.push(instr.clone());
             }
-            DistInstr::Compute { node, rule } => {
-                costs.add_compute(stage, *node, rule);
-                program = program.push(instr.clone());
-            }
+            DistInstr::Compute { node, rule } => costs.add_compute(&mut out.stage, *node, rule),
             DistInstr::Collective { node, kind } => {
                 // A collective closes the running stage (paper Fig. 6).
-                closed += stage.iter().cloned().fold(0.0, f64::max);
-                stage.iter_mut().for_each(|s| *s = 0.0);
+                closed += out.stage.iter().cloned().fold(0.0, f64::max);
+                out.stage.iter_mut().for_each(|s| *s = 0.0);
                 closed += costs.collective_secs(*node, kind);
-                program = program.push(instr.clone());
             }
         }
     }
-
-    apply_props_into(&mut props, triple, |node| {
-        if !graph.node(node).op.is_leaf() && theory.live[node] {
-            remaining_flops = (remaining_flops - costs.node_flops(node)).max(0.0);
+    // The set effect: the communicated marker, then the postcondition; a
+    // node first produced here lowers the remaining work.
+    if let Some(c) = bits.comm {
+        set_bit(&mut out.set, c);
+    }
+    let mut remaining_flops = cur.remaining_flops;
+    let mut remaining_required = cur.remaining_required;
+    for (&b, &(node, _)) in bits.post.iter().zip(&triple.post) {
+        let newly_produced = !theory.has_node(&out.set, node);
+        if set_bit(&mut out.set, b) && newly_produced {
+            if theory.counts_flops[node] {
+                remaining_flops = (remaining_flops - costs.node_flops(node)).max(0.0);
+            }
+            if theory.is_required[node] {
+                remaining_required = remaining_required.saturating_sub(1);
+            }
         }
-        if theory.required.contains(&node) {
-            remaining_required = remaining_required.saturating_sub(1);
-        }
-    });
-
-    slot.props = interner.intern(props);
-    slot.closed = closed;
-    slot.remaining_flops = remaining_flops;
-    slot.remaining_required = remaining_required;
-    slot.program = program;
+    }
+    out.closed = closed;
+    out.remaining_flops = remaining_flops;
+    out.remaining_required = remaining_required;
+    out.skipped = skipped;
 }
 
 /// Re-costs an existing program, mirroring [`apply`]'s stage arithmetic
@@ -1268,19 +1273,19 @@ fn replay_cost(program: &DistProgram, costs: &CostSource, m: usize) -> f64 {
     closed + stage.iter().cloned().fold(0.0, f64::max)
 }
 
-/// A frozen expand-hot-path workload: reachable search states with
-/// precomputed applicable-triple lists, isolated from the frontier, the
-/// dominance map, and the thread pool.
+/// A frozen expand-hot-path workload: reachable search states, isolated
+/// from the frontier, the merge and the thread pool.
 ///
-/// [`HotPathBench::run`] replays exactly the cost-lookup + candidate-
-/// generation inner loop of [`expand`] over the workload — preview each
-/// `(state, triple)` pair, apply the ones whose admissible score clears the
-/// stored bound — through either cost oracle. States are fully constructed
-/// (and interned) up front, like the wave states `expand` receives, so the
+/// [`HotPathBench::run`] replays the inner loop of the search's `expand`
+/// over the workload — enumerate each state's candidate triples from the
+/// theory's index, test applicability, preview each applicable triple, and
+/// build the successor of every one whose admissible score clears the
+/// stored bound — through either cost oracle. The states are committed to a
+/// search arena up front, like the wave states `expand` receives, so the
 /// timed region contains only the inner loop. The
-/// `synthesis/expand_hot_path` micro-bench times the two variants; the
-/// equivalence tests assert their checksums (cost and score bits, successor
-/// fingerprints) are identical.
+/// `synthesis/expand_hot_path` micro-bench times the two oracles; the
+/// equivalence tests assert their checksums (cost and score bits,
+/// successor fingerprints) are identical.
 pub struct HotPathBench {
     graph: Graph,
     devices: Vec<VirtualDevice>,
@@ -1291,23 +1296,23 @@ pub struct HotPathBench {
     /// `synthesize_with_theory` call and amortizes them over the whole
     /// search, so the timed region must not re-pay the build.
     tables: CostTables,
-    /// Shared across runs; content-addressed, so repeat runs hit.
-    interner: PropInterner,
-    /// `(state, hoisted stage max, applicable triple indices)`.
-    states: Vec<(State, f64, Vec<usize>)>,
+    /// The workload's states, committed as a search commits them.
+    arena: Arena,
+    /// Ids of the workload's states in `arena`.
+    states: Vec<u32>,
     /// 2nd-percentile preview score of the workload: applications below it
-    /// construct the successor, the rest are preview-pruned — mirroring a
+    /// build the successor, the rest are preview-pruned — mirroring a
     /// late-search wave under a tight incumbent, where almost every triple
     /// dies at preview time (pure cost lookup) and only the promising few
-    /// materialize states.
+    /// build states.
     bound: f64,
     applications: usize,
 }
 
 impl HotPathBench {
     /// Collects up to `max_states` reachable states by breadth-first
-    /// expansion from the empty state (deterministic: FIFO order, no
-    /// pruning other than property-set dedup).
+    /// expansion from the root state (deterministic: FIFO order, no pruning
+    /// other than property-set dedup).
     pub fn new(
         graph: Graph,
         devices: Vec<VirtualDevice>,
@@ -1316,59 +1321,61 @@ impl HotPathBench {
         max_states: usize,
     ) -> Self {
         let theory = Theory::build(&graph);
-        let interner = PropInterner::new();
         let tables = CostTables::build(&CostModel::new(&graph, &devices, &profile, &ratios));
-        let mut states: Vec<(State, f64, Vec<usize>)> = Vec::with_capacity(max_states);
+        let m = devices.len();
+        let mut arena = Arena::new(&theory, &graph, m);
+        let mut states: Vec<u32> = Vec::with_capacity(max_states);
         let mut scores: Vec<f64> = Vec::new();
+        let mut applications = 0;
         {
             let costs = CostSource::Tables(&tables);
-            let m = devices.len();
-            let total_remaining: f64 = graph
-                .nodes()
-                .iter()
-                .filter(|n| !n.op.is_leaf() && theory.live[n.id])
-                .map(|n| graph.node_flops(n.id))
-                .sum();
-            let initial = State {
-                props: interner.intern(PropSet::new()),
-                closed: 0.0,
-                stage: vec![0.0; m],
-                remaining_flops: total_remaining,
-                remaining_required: theory.required.len(),
-                program: ProgChain::new(),
-            };
             let mut scratch = vec![0.0; m];
-            let mut seen: HashSet<u32> = HashSet::new();
-            seen.insert(initial.props.id());
-            let mut queue: VecDeque<State> = VecDeque::new();
-            queue.push_back(initial);
-            while let Some(state) = queue.pop_front() {
+            let mut cur = Succ::new(theory.set_words(), m);
+            let mut succ = Succ::new(theory.set_words(), m);
+            let mut triples = Vec::new();
+            let mut queue: VecDeque<u32> = VecDeque::from([0]);
+            while let Some(id) = queue.pop_front() {
                 if states.len() >= max_states {
                     break;
                 }
-                let mut matched = Vec::new();
-                for (k, triple) in theory.triples.iter().enumerate() {
-                    if triple_applicable(&state.props, triple) {
-                        matched.push(k);
+                cur.load(&arena.state(id));
+                let parent_fingerprint = arena.nodes[id as usize].fingerprint;
+                let state = cur.view();
+                let stage_max = state.stage_max();
+                theory.candidates(state.set, &mut triples);
+                for &t in &triples {
+                    if !applicable(state.set, theory.bits(t)) {
+                        continue;
                     }
-                }
-                let stage_max = state.stage.iter().cloned().fold(0.0, f64::max);
-                for &k in &matched {
-                    let triple = &theory.triples[k];
+                    applications += 1;
                     let (pcost, premaining) =
-                        preview(&state, stage_max, triple, &costs, &theory, &mut scratch);
+                        preview(&state, stage_max, t, &theory, &costs, &mut scratch);
                     scores.push(pcost + costs.best_case_seconds(premaining));
-                    let succ = apply(&state, triple, &costs, &interner, &theory, &graph);
-                    if seen.insert(succ.props.id()) && queue.len() + states.len() < max_states {
-                        queue.push_back(succ);
+                    apply(&state, t, &theory, &costs, &mut succ);
+                    let (set, fresh) = arena.sets.insert(&succ.set, SetArena::hash(&succ.set));
+                    if fresh {
+                        arena.dominance.push(f64::INFINITY);
+                    }
+                    if fresh && queue.len() + states.len() < max_states {
+                        let node = Node {
+                            set,
+                            parent: id,
+                            triple: t,
+                            skipped: succ.skipped,
+                            fingerprint: emitted(&theory.triples[t as usize], succ.skipped)
+                                .fold(parent_fingerprint, |h, i| i.mix_fingerprint(h)),
+                            closed: succ.closed,
+                            remaining_flops: succ.remaining_flops,
+                            remaining_required: succ.remaining_required,
+                        };
+                        queue.push_back(arena.push(node, &succ.stage));
                     }
                 }
-                states.push((state, stage_max, matched));
+                states.push(id);
             }
         }
         scores.sort_unstable_by(f64::total_cmp);
         let bound = scores.get(scores.len() / 50).copied().unwrap_or(f64::INFINITY);
-        let applications = states.iter().map(|(_, _, matched)| matched.len()).sum();
         HotPathBench {
             graph,
             devices,
@@ -1376,7 +1383,7 @@ impl HotPathBench {
             ratios,
             theory,
             tables,
-            interner,
+            arena,
             states,
             bound,
             applications,
@@ -1394,87 +1401,70 @@ impl HotPathBench {
     /// every preview score, surviving successor cost, and successor program
     /// fingerprint, so two runs agree iff their costs are bit-identical.
     pub fn run(&self, use_tables: bool) -> (usize, u64) {
-        // The CostModel is rebuilt for both variants (cheap: one flops
-        // vec); the tables come prebuilt, mirroring production's
-        // once-per-search amortization.
+        self.replay(use_tables, |_, _, _, cost, fingerprint| (cost, fingerprint))
+    }
+
+    /// [`HotPathBench::run`] through the table oracle, with every surviving
+    /// successor recorded the way `expand` hands it to the wave merge: its
+    /// set looked up among the interned sets, and the candidate, its stage
+    /// and (when new) its set copied into the state's flat output buffers.
+    /// The checksum must match [`HotPathBench::run`] bit for bit (asserted
+    /// by the micro-bench and the equivalence test); the
+    /// `synthesis/expand_hot_path_arena` series gates what recording costs
+    /// over building alone.
+    pub fn run_arena(&self) -> (usize, u64) {
+        self.replay(true, |out, succ, t, cost, fingerprint| {
+            let set = self.arena.sets.find(&succ.set, SetArena::hash(&succ.set));
+            let cand = out.push(succ, cost, cost, fingerprint, 0, t, set.unwrap_or(NEW_SET));
+            (cand.cost, cand.fingerprint)
+        })
+    }
+
+    /// The shared replay loop: `record` sees each surviving successor with
+    /// its triple, cost and fingerprint (and the state's output buffer,
+    /// cleared per state) and returns the cost and fingerprint to fold into
+    /// the checksum.
+    fn replay(
+        &self,
+        use_tables: bool,
+        mut record: impl FnMut(&mut Expansion, &Succ, u32, f64, u64) -> (f64, u64),
+    ) -> (usize, u64) {
+        // The CostModel is rebuilt for both oracles (cheap: one flops vec);
+        // the tables come prebuilt, mirroring production's once-per-search
+        // amortization.
         let cm = CostModel::new(&self.graph, &self.devices, &self.profile, &self.ratios);
         let costs =
             if use_tables { CostSource::Tables(&self.tables) } else { CostSource::Direct(&cm) };
-        let mut scratch = vec![0.0; self.devices.len()];
+        let m = self.devices.len();
+        let mut scratch = vec![0.0; m];
+        let mut succ = Succ::new(self.theory.set_words(), m);
+        let mut triples = Vec::new();
+        let mut out = Expansion::new();
         let mut applications = 0usize;
         let mut checksum = 0u64;
-        for (state, stage_max, matched) in &self.states {
-            for &k in matched {
-                let triple = &self.theory.triples[k];
-                let (pcost, premaining) =
-                    preview(state, *stage_max, triple, &costs, &self.theory, &mut scratch);
-                let score = pcost + costs.best_case_seconds(premaining);
-                applications += 1;
-                checksum = checksum.rotate_left(1) ^ score.to_bits();
-                if score < self.bound {
-                    let succ =
-                        apply(state, triple, &costs, &self.interner, &self.theory, &self.graph);
-                    checksum = checksum.rotate_left(1)
-                        ^ succ.cost().to_bits()
-                        ^ succ.program.fingerprint();
+        for &id in &self.states {
+            let state = self.arena.state(id);
+            let parent_fingerprint = self.arena.nodes[id as usize].fingerprint;
+            let stage_max = state.stage_max();
+            out.cands.clear();
+            out.stages.clear();
+            out.new_sets.clear();
+            self.theory.candidates(state.set, &mut triples);
+            for &t in &triples {
+                if !applicable(state.set, self.theory.bits(t)) {
+                    continue;
                 }
-            }
-        }
-        (applications, checksum)
-    }
-
-    /// [`HotPathBench::run`] through the table oracle, but with the
-    /// production recycling arena: every surviving successor is built by
-    /// [`apply_into`] into a box drawn from a local freelist and returned
-    /// to it, exactly the steady state `expand` reaches against a
-    /// [`StatePool`]. The checksum must match [`HotPathBench::run`] bit
-    /// for bit (asserted by the micro-bench and the equivalence test);
-    /// the `synthesis/expand_hot_path_arena` series gates the recycled
-    /// path's throughput against the allocating one.
-    pub fn run_arena(&self) -> (usize, u64) {
-        // Same per-run setup as `run`, so the gated ratio compares only
-        // the inner loop.
-        let _cm = CostModel::new(&self.graph, &self.devices, &self.profile, &self.ratios);
-        let costs = CostSource::Tables(&self.tables);
-        let mut scratch = vec![0.0; self.devices.len()];
-        let mut freelist: Vec<Box<State>> = Vec::new();
-        let mut applications = 0usize;
-        let mut checksum = 0u64;
-        for (state, stage_max, matched) in &self.states {
-            for &k in matched {
-                let triple = &self.theory.triples[k];
                 let (pcost, premaining) =
-                    preview(state, *stage_max, triple, &costs, &self.theory, &mut scratch);
+                    preview(&state, stage_max, t, &self.theory, &costs, &mut scratch);
                 let score = pcost + costs.best_case_seconds(premaining);
                 applications += 1;
                 checksum = checksum.rotate_left(1) ^ score.to_bits();
                 if score < self.bound {
-                    let succ = match freelist.pop() {
-                        Some(mut slot) => {
-                            apply_into(
-                                state,
-                                triple,
-                                &costs,
-                                &self.interner,
-                                &self.theory,
-                                &self.graph,
-                                &mut slot,
-                            );
-                            slot
-                        }
-                        None => Box::new(apply(
-                            state,
-                            triple,
-                            &costs,
-                            &self.interner,
-                            &self.theory,
-                            &self.graph,
-                        )),
-                    };
-                    checksum = checksum.rotate_left(1)
-                        ^ succ.cost().to_bits()
-                        ^ succ.program.fingerprint();
-                    freelist.push(succ);
+                    apply(&state, t, &self.theory, &costs, &mut succ);
+                    let fingerprint = emitted(&self.theory.triples[t as usize], succ.skipped)
+                        .fold(parent_fingerprint, |h, i| i.mix_fingerprint(h));
+                    let (cost, fingerprint) = record(&mut out, &succ, t, succ.cost(), fingerprint);
+                    checksum = checksum.rotate_left(1) ^ cost.to_bits() ^ fingerprint;
                 }
             }
         }
@@ -1696,6 +1686,182 @@ mod tests {
                 reference.estimated_time.to_bits(),
                 "threads={threads}"
             );
+        }
+    }
+
+    /// Up to `max` states reachable from the root by breadth-first search,
+    /// each as an owned successor buffer.
+    fn reachable_states(
+        graph: &Graph,
+        theory: &Theory,
+        costs: &CostSource,
+        max: usize,
+    ) -> Vec<Succ> {
+        let m = 4;
+        let arena = Arena::new(theory, graph, m);
+        let words = theory.set_words();
+        let mut root = Succ::new(words, m);
+        root.load(&arena.state(0));
+        let mut seen = SetArena::new(words);
+        seen.insert(&root.set, SetArena::hash(&root.set));
+        let mut queue = VecDeque::from([root]);
+        let mut states = Vec::new();
+        while let Some(state) = queue.pop_front() {
+            if states.len() >= max {
+                break;
+            }
+            for t in 0..theory.triples.len() as u32 {
+                if applicable(&state.set, theory.bits(t)) {
+                    let mut succ = Succ::new(words, m);
+                    apply(&state.view(), t, theory, costs, &mut succ);
+                    if seen.insert(&succ.set, SetArena::hash(&succ.set)).1 {
+                        queue.push_back(succ);
+                    }
+                }
+            }
+            states.push(state);
+        }
+        states
+    }
+
+    fn small_training_graph() -> Graph {
+        let mut g = GraphBuilder::new();
+        let x = g.placeholder("x", vec![512, 64]);
+        let w1 = g.parameter("w1", vec![64, 32]);
+        let w2 = g.parameter("w2", vec![32, 8]);
+        let labels = g.label("y", vec![512]);
+        let h = g.matmul(x, w1);
+        let h = g.relu(h);
+        let h = g.matmul(h, w2);
+        let loss = g.cross_entropy(h, labels);
+        g.build_training(loss).unwrap()
+    }
+
+    #[test]
+    fn indexed_candidates_are_exactly_the_applicable_triples_in_theory_order() {
+        let graph = small_training_graph();
+        let theory = Theory::build(&graph);
+        let (devices, profile, ratios) = cluster_setup(4);
+        let cm = CostModel::new(&graph, &devices, &profile, &ratios);
+        let tables = CostTables::build(&cm);
+        let costs = CostSource::Tables(&tables);
+        let states = reachable_states(&graph, &theory, &costs, 300);
+        assert_eq!(states.len(), 300);
+        let mut candidates = Vec::new();
+        for state in &states {
+            let scan: Vec<u32> = (0..theory.triples.len() as u32)
+                .filter(|&t| applicable(&state.set, theory.bits(t)))
+                .collect();
+            theory.candidates(&state.set, &mut candidates);
+            let indexed: Vec<u32> = candidates
+                .iter()
+                .copied()
+                .filter(|&t| applicable(&state.set, theory.bits(t)))
+                .collect();
+            assert_eq!(indexed, scan);
+            assert!(candidates.len() < theory.triples.len() || theory.triples.len() < 8);
+        }
+    }
+
+    #[test]
+    fn incremental_filler_check_matches_a_whole_theory_scan() {
+        // The greedy seed's filler phase: no progress triple applies. The
+        // incremental check must agree with scanning every triple.
+        let graph = small_training_graph();
+        let theory = Theory::build(&graph);
+        let (devices, profile, ratios) = cluster_setup(4);
+        let cm = CostModel::new(&graph, &devices, &profile, &ratios);
+        let tables = CostTables::build(&cm);
+        let costs = CostSource::Tables(&tables);
+        let whole_theory = |succ: &[u64]| {
+            theory.triples.iter().enumerate().any(|(i, t)| {
+                let bits = theory.bits(i as u32);
+                theory.live[t.output]
+                    && !theory.has_node(succ, t.output)
+                    && bits.comm.is_none_or(|c| !has_bit(succ, c))
+                    && bits.pre.iter().all(|&p| has_bit(succ, p))
+            })
+        };
+        let mut checked = 0;
+        for state in reachable_states(&graph, &theory, &costs, 2_000) {
+            let applicable: Vec<u32> = (0..theory.triples.len() as u32)
+                .filter(|&t| applicable(&state.set, theory.bits(t)))
+                .collect();
+            let progress = applicable.iter().any(|&t| {
+                let output = theory.triples[t as usize].output;
+                theory.live[output] && !theory.has_node(&state.set, output)
+            });
+            if progress {
+                continue;
+            }
+            for &t in &applicable {
+                let bits = theory.bits(t);
+                let mut succ = state.set.clone();
+                if let Some(c) = bits.comm {
+                    set_bit(&mut succ, c);
+                }
+                for &b in bits.post.iter() {
+                    set_bit(&mut succ, b);
+                }
+                assert_eq!(
+                    unblocks_progress(&state.set, &succ, bits, &theory),
+                    whole_theory(&succ),
+                    "filler {t}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no reachable state exercised the filler phase");
+    }
+
+    #[test]
+    fn beam_prune_keeps_the_entries_a_full_sort_keeps() {
+        let entries = || {
+            (0..1_000u64).map(|seq| Entry {
+                score: ((seq * 7919) % 97) as f64, // many ties, broken by seq
+                seq,
+                node: seq as u32,
+            })
+        };
+        let mut sorted: Vec<Entry> = entries().collect();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        for beam in [0usize, 1, 250, 999, 1_000, 5_000] {
+            let mut frontier: BinaryHeap<Entry> = entries().collect();
+            prune_to(&mut frontier, beam);
+            let popped: Vec<u32> = std::iter::from_fn(|| frontier.pop()).map(|e| e.node).collect();
+            let expected: Vec<u32> = sorted.iter().take(beam).map(|e| e.node).collect();
+            assert_eq!(popped, expected, "beam {beam}");
+        }
+    }
+
+    #[test]
+    fn state_fingerprints_match_their_materialized_programs() {
+        // A state's program is the chain of (triple, skipped leaves) steps
+        // through its ancestors; its fingerprint is folded in as the chain
+        // grows. Both must agree with the materialized program, and
+        // siblings must share their parent's program as a prefix.
+        let graph = small_training_graph();
+        let (devices, profile, ratios) = cluster_setup(4);
+        let bench = HotPathBench::new(graph, devices, profile, ratios, 64);
+        let (arena, theory) = (&bench.arena, &bench.theory);
+        assert!(arena.nodes.len() > 64);
+        for (id, node) in arena.nodes.iter().enumerate().skip(1) {
+            let parent = &arena.nodes[node.parent as usize];
+            let program = DistProgram {
+                instrs: arena.program(theory, node.parent, (node.triple, node.skipped)),
+                estimated_time: 0.0,
+            };
+            assert_eq!(program.fingerprint(), node.fingerprint, "state {id}");
+            if parent.parent != ROOT {
+                let prefix = arena.program(theory, parent.parent, (parent.triple, parent.skipped));
+                assert_eq!(&program.instrs[..prefix.len()], &prefix[..], "state {id}");
+            }
+            // A leaf already materialized is not emitted twice.
+            let leaves: Vec<&DistInstr> =
+                program.instrs.iter().filter(|i| matches!(i, DistInstr::Leaf { .. })).collect();
+            for (i, leaf) in leaves.iter().enumerate() {
+                assert!(!leaves[..i].contains(leaf), "state {id} repeats {leaf:?}");
+            }
         }
     }
 }

@@ -1,7 +1,6 @@
 //! The distributed instruction set and programs (paper Sec. 4.1, Fig. 8).
 
 use std::fmt;
-use std::sync::Arc;
 
 use hap_graph::{Graph, NodeId, Placement, Role, Rule};
 
@@ -121,7 +120,7 @@ impl DistInstr {
     /// The encoding is purely structural (discriminant tags plus field
     /// values), so the hash is stable across runs, processes, and thread
     /// counts — the parallel search uses it as a deterministic tie-break.
-    fn mix_fingerprint(&self, h: u64) -> u64 {
+    pub(crate) fn mix_fingerprint(&self, h: u64) -> u64 {
         match self {
             DistInstr::Leaf { node, placement } => {
                 mix_placement(fnv1a(fnv1a(h, 1), *node as u64), *placement)
@@ -154,7 +153,8 @@ impl DistInstr {
 pub(crate) use fingerprint::{fnv1a, FNV_OFFSET};
 
 /// The FNV-1a primitive behind every determinism-critical hash in this
-/// crate: program fingerprints, `PropSet::stable_hash` dominance sharding.
+/// crate: program fingerprints, which the parallel A\* merge sorts
+/// candidates by.
 ///
 /// Exposed publicly so downstream consumers that need *the same* stable
 /// hash — the wire codec's content-addressed request fingerprints, cache
@@ -192,87 +192,6 @@ pub(crate) fn mix_placement(h: u64, p: Placement) -> u64 {
         Placement::Replicated => fnv1a(h, 0),
         Placement::Shard(d) => fnv1a(fnv1a(h, 1), d as u64),
         Placement::PartialSum => fnv1a(h, 2),
-    }
-}
-
-/// A persistent, thread-shareable program list (paper programs are built
-/// instruction by instruction; siblings in the search tree share their
-/// common prefix).
-///
-/// Each node carries the fingerprint of the whole prefix ending at it, so
-/// fingerprints of partial programs cost O(1) to read — the parallel A\*
-/// merge sorts candidate states by `(score, fingerprint)` every wave.
-#[derive(Clone, Debug, Default)]
-pub struct ProgChain {
-    head: Option<Arc<ChainNode>>,
-}
-
-#[derive(Debug)]
-struct ChainNode {
-    instr: DistInstr,
-    fingerprint: u64,
-    parent: Option<Arc<ChainNode>>,
-}
-
-impl ProgChain {
-    /// The empty program.
-    pub fn new() -> Self {
-        ProgChain::default()
-    }
-
-    /// True when no instruction has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.head.is_none()
-    }
-
-    /// Number of instructions in the chain (walks the spine).
-    pub fn len(&self) -> usize {
-        let mut n = 0;
-        let mut cur = self.head.as_ref();
-        while let Some(node) = cur {
-            n += 1;
-            cur = node.parent.as_ref();
-        }
-        n
-    }
-
-    /// Returns a new chain with `instr` appended; `self` is untouched and
-    /// the prefix is shared (O(1), an `Arc` bump).
-    pub fn push(&self, instr: DistInstr) -> ProgChain {
-        let fingerprint = instr.mix_fingerprint(self.fingerprint());
-        ProgChain {
-            head: Some(Arc::new(ChainNode { instr, fingerprint, parent: self.head.clone() })),
-        }
-    }
-
-    /// Stable fingerprint of the instruction sequence; equals
-    /// [`DistProgram::fingerprint`] of the materialized program.
-    pub fn fingerprint(&self) -> u64 {
-        self.head.as_ref().map_or(FNV_OFFSET, |n| n.fingerprint)
-    }
-
-    /// Rebuilds a chain from a materialized program (the warm-start path:
-    /// a previous round's program becomes the next round's incumbent).
-    /// Round-trips exactly: the chain's fingerprint equals the program's.
-    pub fn from_program(program: &DistProgram) -> ProgChain {
-        program.instrs.iter().fold(ProgChain::new(), |chain, instr| chain.push(instr.clone()))
-    }
-
-    /// The most recently appended instruction, if any (O(1)).
-    pub fn last(&self) -> Option<&DistInstr> {
-        self.head.as_ref().map(|n| &n.instr)
-    }
-
-    /// Materializes the chain into a [`DistProgram`] in execution order.
-    pub fn to_program(&self, estimated_time: f64) -> DistProgram {
-        let mut instrs = Vec::new();
-        let mut cur = self.head.as_ref();
-        while let Some(node) = cur {
-            instrs.push(node.instr.clone());
-            cur = node.parent.as_ref();
-        }
-        instrs.reverse();
-        DistProgram { instrs, estimated_time }
     }
 }
 
@@ -429,21 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn chain_fingerprint_matches_program_fingerprint() {
-        let (_, prog) = fig11_program();
-        let mut chain = ProgChain::new();
-        assert!(chain.is_empty());
-        assert_eq!(chain.fingerprint(), ProgChain::new().fingerprint());
-        for instr in &prog.instrs {
-            chain = chain.push(instr.clone());
-        }
-        assert_eq!(chain.len(), prog.instrs.len());
-        assert_eq!(chain.fingerprint(), prog.fingerprint());
-        let rebuilt = chain.to_program(prog.estimated_time);
-        assert_eq!(rebuilt.instrs, prog.instrs);
-    }
-
-    #[test]
     fn fingerprint_distinguishes_order_and_content() {
         let (_, prog) = fig11_program();
         let mut reversed = prog.clone();
@@ -453,17 +357,6 @@ mod tests {
         truncated.instrs.pop();
         assert_ne!(prog.fingerprint(), truncated.fingerprint());
         assert_eq!(prog.fingerprint(), prog.clone().fingerprint());
-    }
-
-    #[test]
-    fn chains_share_prefixes() {
-        let (_, prog) = fig11_program();
-        let base = ProgChain::new().push(prog.instrs[0].clone());
-        let a = base.push(prog.instrs[1].clone());
-        let b = base.push(prog.instrs[2].clone());
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.to_program(0.0).instrs[0], prog.instrs[0]);
-        assert_eq!(b.to_program(0.0).instrs[0], prog.instrs[0]);
     }
 
     #[test]

@@ -20,12 +20,15 @@
 //!    identical for every thread count: each wave's candidates are merged
 //!    in a stable `(score, cost, program fingerprint)` order before any
 //!    state commits to the dominance map, incumbent, or frontier;
-//! 5. the expansion inner loop is O(1)-lookup and allocation-free: every
-//!    cost is a read from dense precomputed [`CostTables`], states carry
-//!    hash-consed property sets ([`PropInterner`]) so cloning is an integer
-//!    copy and dominance keys are `u32` ids, and the alternating Q/B loop
-//!    can seed each round's incumbent with the previous round's program
-//!    ([`synthesize_with_theory_warm`]).
+//! 5. the search's bookkeeping is flat: the theory indexes its triples by
+//!    their first precondition, so a state visits only the triples that
+//!    can apply to it; every cost is a read from dense precomputed
+//!    [`CostTables`]; property sets are fixed-width bitsets over the
+//!    theory's property numbering, interned in one arena with dense ids
+//!    that key a `Vec` dominance table; successors are built into reused
+//!    buffers, so a wave allocates per expanded state, not per successor;
+//!    and the alternating Q/B loop can seed each round's incumbent with the
+//!    previous round's program ([`synthesize_with_theory_warm`]).
 //!
 //! # Examples
 //!
@@ -63,6 +66,6 @@ pub use astar::{
 };
 pub use cost::{CostModel, CostTables, ShardingRatios, LAUNCH_OVERHEAD};
 pub use instr::fingerprint;
-pub use instr::{CollectiveInstr, DistInstr, DistProgram, ProgChain, Stage};
-pub use property::{InternedProps, Prop, PropInterner, PropSet};
+pub use instr::{CollectiveInstr, DistInstr, DistProgram, Stage};
+pub use property::{Prop, PropSet};
 pub use theory::{Theory, TheoryOptions, Triple};

@@ -1,10 +1,5 @@
 //! Tensor properties and canonical property sets (paper Sec. 4.2), plus the
-//! hash-consing interner the search uses to reduce program states to ids.
-
-use std::collections::HashMap;
-use std::ops::Deref;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, RwLock};
+//! interned bitset arena the search stores its states' property sets in.
 
 use hap_graph::{NodeId, Placement};
 
@@ -17,10 +12,12 @@ pub type Prop = (NodeId, Placement);
 /// already-communicated reference tensors (the `Communicated` markers of
 /// paper Sec. 4.5, optimization 2).
 ///
-/// Equality/hashing of `PropSet`s is exactly program-state identity for the
-/// A\* dominance pruning. The stable content hash is maintained
-/// incrementally (`hash` is a pure function of the two lists, so including
-/// it in the derived equality is sound and lets mismatches bail early).
+/// Equality/hashing of `PropSet`s is exactly program-state identity. The
+/// search stores the same sets as interned bitsets (`SetArena`); the
+/// baselines and the simulator use `PropSet`. The stable content hash is
+/// maintained incrementally (`hash` is a pure function of the two lists, so
+/// including it in the derived equality is sound and lets mismatches bail
+/// early).
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct PropSet {
     props: Vec<Prop>,
@@ -147,12 +144,9 @@ impl PropSet {
     ///
     /// Unlike `Hash`-derived hashing (whose value depends on the hasher
     /// instance), this is a pure function of the contents — identical
-    /// across runs, platforms, and thread counts; the parallel search uses
-    /// it to pick dominance-map shards deterministically and the interner
-    /// uses it as the hash-consing bucket key. The value is a commutative
-    /// per-entry mix maintained incrementally on every mutation, so reading
-    /// it is O(1) — the synthesis hot path interns one set per expanded
-    /// candidate and would otherwise rehash `O(|set|)` bytes each time.
+    /// across runs, platforms, and thread counts. The value is a
+    /// commutative per-entry mix maintained incrementally on every
+    /// mutation, so reading it is O(1).
     pub fn stable_hash(&self) -> u64 {
         self.hash
     }
@@ -168,122 +162,131 @@ impl PropSet {
     }
 }
 
-/// A hash-consed [`PropSet`]: shared storage plus the interner-assigned id.
-///
-/// Search states carry one of these instead of an owned `PropSet`, so
-/// cloning a state copies an integer and bumps a refcount, dominance-map
-/// keys shrink to a `u32`, and set equality is id equality. The content
-/// hash is computed once, at intern time, and memoized here.
-#[derive(Clone, Debug)]
-pub struct InternedProps {
-    id: u32,
-    hash: u64,
-    set: Arc<PropSet>,
+/// True if `bit` is set in the bitset `set`.
+#[inline]
+pub(crate) fn has_bit(set: &[u64], bit: u32) -> bool {
+    (set[(bit >> 6) as usize] >> (bit & 63)) & 1 == 1
 }
 
-impl InternedProps {
-    /// The interner-assigned id. Within one [`PropInterner`], two
-    /// `InternedProps` have equal ids iff their sets are equal.
-    #[inline]
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-
-    /// The memoized [`PropSet::stable_hash`] of the set.
-    #[inline]
-    pub fn stable_hash(&self) -> u64 {
-        self.hash
-    }
+/// Sets `bit` in the bitset `set`; returns whether it was clear before.
+#[inline]
+pub(crate) fn set_bit(set: &mut [u64], bit: u32) -> bool {
+    let word = &mut set[(bit >> 6) as usize];
+    let mask = 1u64 << (bit & 63);
+    let was_clear = *word & mask == 0;
+    *word |= mask;
+    was_clear
 }
 
-impl Deref for InternedProps {
-    type Target = PropSet;
-
-    #[inline]
-    fn deref(&self) -> &PropSet {
-        &self.set
-    }
-}
-
-/// Shards of the intern table. Expansion workers intern successor states
-/// concurrently; sharding by the stable content hash keeps lock contention
-/// negligible at wave width 64.
-const INTERN_SHARDS: usize = 64;
-
-/// One intern-table shard: `stable_hash -> (set, id)` entries with that
-/// hash (more than one only on a 64-bit collision).
-type InternTable = HashMap<u64, Vec<(Arc<PropSet>, u32)>>;
-
-/// A concurrent hash-consing arena for canonical property sets.
-///
-/// Interning is *content-addressed*: the first thread to intern a set wins
-/// the id, and every later intern of an equal set returns the same id and
-/// shares the same allocation. Ids are assigned in racy (thread-timing)
-/// order, but nothing in the search orders by id — dominance shards are
-/// picked by the stable content hash — so synthesized plans remain
-/// bit-for-bit identical for every thread count.
-#[derive(Debug)]
-pub struct PropInterner {
-    /// `stable_hash -> (set, id)` entries, sharded by the hash.
-    shards: Vec<RwLock<InternTable>>,
-    next_id: AtomicU32,
-}
-
-impl Default for PropInterner {
-    fn default() -> Self {
-        PropInterner::new()
-    }
-}
-
-impl PropInterner {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        PropInterner {
-            shards: (0..INTERN_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            next_id: AtomicU32::new(0),
+/// Calls `f` with every set bit of `set`, in ascending order.
+#[inline]
+pub(crate) fn for_each_bit(set: &[u64], mut f: impl FnMut(u32)) {
+    for (w, &word) in set.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(((w as u32) << 6) | bits.trailing_zeros());
+            bits &= bits - 1;
         }
     }
+}
 
-    /// Interns `set`, returning its canonical shared handle.
-    pub fn intern(&self, set: PropSet) -> InternedProps {
-        let hash = set.stable_hash();
-        let shard = &self.shards[(hash as usize) & (INTERN_SHARDS - 1)];
-        {
-            let guard = shard.read().expect("intern shard poisoned");
-            if let Some(found) = Self::lookup(&guard, hash, &set) {
-                return found;
+/// A free slot of [`SetArena`]'s probe table.
+const EMPTY: u32 = u32::MAX;
+
+/// Interned fixed-width bitsets: the search's property sets.
+///
+/// The theory numbers every property that appears in one of its triples,
+/// and every node a collective can communicate, with one bit each, so a
+/// program state's property set is a fixed number of `u64` words. Each
+/// distinct set is stored once, back to back in one arena, and named by a
+/// dense id assigned in insertion order, so ids are deterministic whenever
+/// insertions are. Lookups probe an open-addressing table of ids by a
+/// stable hash of the words. Nothing is allocated per set beyond the
+/// arena's amortized growth, and dropping the arena frees three vectors.
+pub(crate) struct SetArena {
+    words: usize,
+    data: Vec<u64>,
+    hashes: Vec<u64>,
+    /// Ids by hash, linear probing; the length is a power of two and at
+    /// least twice the number of sets.
+    slots: Vec<u32>,
+}
+
+impl SetArena {
+    /// An empty arena of sets `words` words wide.
+    pub(crate) fn new(words: usize) -> Self {
+        SetArena { words, data: Vec::new(), hashes: Vec::new(), slots: vec![EMPTY; 64] }
+    }
+
+    /// Number of distinct sets interned.
+    pub(crate) fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// The words of set `id`.
+    #[inline]
+    pub(crate) fn get(&self, id: u32) -> &[u64] {
+        let at = id as usize * self.words;
+        &self.data[at..at + self.words]
+    }
+
+    /// Stable hash of a set's words, identical across runs and platforms.
+    #[inline]
+    pub(crate) fn hash(set: &[u64]) -> u64 {
+        mix64(
+            set.iter()
+                .fold(0, |h: u64, &w| (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)),
+        )
+    }
+
+    /// The id of `set` (whose [`SetArena::hash`] is `hash`), if interned.
+    #[inline]
+    pub(crate) fn find(&self, set: &[u64], hash: u64) -> Option<u32> {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let id = self.slots[i];
+            if id == EMPTY {
+                return None;
             }
+            if self.hashes[id as usize] == hash && self.get(id) == set {
+                return Some(id);
+            }
+            i = (i + 1) & mask;
         }
-        let mut guard = shard.write().expect("intern shard poisoned");
-        // Double-check: another worker may have interned it while we
-        // upgraded the lock.
-        if let Some(found) = Self::lookup(&guard, hash, &set) {
-            return found;
+    }
+
+    /// Interns `set` (whose [`SetArena::hash`] is `hash`), returning its id
+    /// and whether it was new.
+    pub(crate) fn insert(&mut self, set: &[u64], hash: u64) -> (u32, bool) {
+        debug_assert_eq!(set.len(), self.words);
+        if let Some(id) = self.find(set, hash) {
+            return (id, false);
         }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        assert!(id != u32::MAX, "interner id space exhausted");
-        let set = Arc::new(set);
-        guard.entry(hash).or_default().push((set.clone(), id));
-        InternedProps { id, hash, set }
+        let id = u32::try_from(self.len())
+            .ok()
+            .filter(|&id| id != EMPTY)
+            .expect("set arena id space exhausted");
+        self.data.extend_from_slice(set);
+        self.hashes.push(hash);
+        if self.len() * 2 > self.slots.len() {
+            self.slots = vec![EMPTY; self.slots.len() * 2];
+            for old in 0..=id {
+                self.place(old);
+            }
+        } else {
+            self.place(id);
+        }
+        (id, true)
     }
 
-    fn lookup(table: &InternTable, hash: u64, set: &PropSet) -> Option<InternedProps> {
-        let bucket = table.get(&hash)?;
-        bucket.iter().find(|(s, _)| **s == *set).map(|(s, id)| InternedProps {
-            id: *id,
-            hash,
-            set: s.clone(),
-        })
-    }
-
-    /// Number of distinct sets interned so far.
-    pub fn len(&self) -> usize {
-        self.next_id.load(Ordering::Relaxed) as usize
-    }
-
-    /// True when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    fn place(&mut self, id: u32) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.hashes[id as usize] as usize & mask;
+        while self.slots[i] != EMPTY {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = id;
     }
 }
 
@@ -387,53 +390,44 @@ mod tests {
     }
 
     #[test]
-    fn interner_is_content_addressed() {
-        let interner = PropInterner::new();
-        let mut a = PropSet::new();
-        a.insert((2, Placement::Shard(1)));
-        a.insert((1, Placement::Replicated));
-        let mut b = PropSet::new();
-        b.insert((1, Placement::Replicated));
-        b.insert((2, Placement::Shard(1)));
-        let ia = interner.intern(a.clone());
-        let ib = interner.intern(b);
-        assert_eq!(ia.id(), ib.id(), "equal sets must share an id");
-        assert_eq!(ia.stable_hash(), ib.stable_hash());
-        assert!(Arc::ptr_eq(&ia.set, &ib.set), "equal sets must share storage");
-        a.mark_communicated(2);
-        let ic = interner.intern(a);
-        assert_ne!(ia.id(), ic.id());
-        assert_eq!(interner.len(), 2);
-        // The handle dereferences to the canonical set.
-        assert!(ia.contains(&(1, Placement::Replicated)));
+    fn bit_helpers_set_test_and_enumerate() {
+        let mut set = vec![0u64; 3];
+        assert!(set_bit(&mut set, 0));
+        assert!(set_bit(&mut set, 70));
+        assert!(set_bit(&mut set, 191));
+        assert!(!set_bit(&mut set, 70), "setting a set bit reports it was set");
+        assert!(has_bit(&set, 70) && has_bit(&set, 191) && !has_bit(&set, 69));
+        let mut seen = Vec::new();
+        for_each_bit(&set, |b| seen.push(b));
+        assert_eq!(seen, vec![0, 70, 191]);
     }
 
     #[test]
-    fn concurrent_interning_converges_on_one_id_per_set() {
-        let interner = PropInterner::new();
-        let sets: Vec<PropSet> = (0..32)
-            .map(|i| {
-                let mut s = PropSet::new();
-                s.insert((i, Placement::Shard(i % 3)));
-                s.insert((i + 100, Placement::Replicated));
-                s
-            })
-            .collect();
-        let ids: Vec<Vec<u32>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let sets = &sets;
-                    let interner = &interner;
-                    scope.spawn(move || {
-                        sets.iter().map(|s| interner.intern(s.clone()).id()).collect::<Vec<u32>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for worker in &ids[1..] {
-            assert_eq!(worker, &ids[0], "every thread must observe the same ids");
+    fn set_arena_is_content_addressed_with_dense_ids() {
+        let mut arena = SetArena::new(2);
+        let a = [1u64, 0];
+        let b = [0u64, 1 << 40];
+        let (ia, new_a) = arena.insert(&a, SetArena::hash(&a));
+        let (ib, new_b) = arena.insert(&b, SetArena::hash(&b));
+        assert!(new_a && new_b);
+        assert_eq!((ia, ib), (0, 1), "ids are dense, in insertion order");
+        assert_eq!(arena.insert(&a, SetArena::hash(&a)), (0, false));
+        assert_eq!(arena.find(&b, SetArena::hash(&b)), Some(1));
+        assert_eq!(arena.find(&[1, 1], SetArena::hash(&[1, 1])), None);
+        assert_eq!(arena.get(ib), &b);
+        assert_eq!(arena.len(), 2);
+    }
+
+    #[test]
+    fn set_arena_finds_every_set_across_table_growth() {
+        let mut arena = SetArena::new(3);
+        let sets: Vec<[u64; 3]> = (0..1000u64).map(|i| [i, i.wrapping_mul(31), !i]).collect();
+        for (i, s) in sets.iter().enumerate() {
+            assert_eq!(arena.insert(s, SetArena::hash(s)), (i as u32, true));
         }
-        assert_eq!(interner.len(), sets.len());
+        for (i, s) in sets.iter().enumerate() {
+            assert_eq!(arena.find(s, SetArena::hash(s)), Some(i as u32));
+            assert_eq!(arena.get(i as u32), s);
+        }
     }
 }

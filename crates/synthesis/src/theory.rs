@@ -16,12 +16,10 @@
 //!   and each comm triple carries its reference node so the search can
 //!   enforce the at-most-once rule via `Communicated` markers.
 
-use std::collections::HashMap;
-
 use hap_graph::{Graph, NodeId, Placement, Role};
 
 use crate::instr::{CollectiveInstr, DistInstr};
-use crate::property::Prop;
+use crate::property::{for_each_bit, has_bit, Prop};
 
 /// A Hoare triple of the background theory.
 #[derive(Clone, Debug)]
@@ -41,13 +39,90 @@ pub struct Triple {
     pub output: NodeId,
 }
 
+/// One triple compiled against its theory's bit numbering (see [`Theory`]).
+#[derive(Clone, Copy)]
+pub(crate) struct TripleBits<'a> {
+    /// Bits of `pre`, in `pre` order (ascending).
+    pub(crate) pre: &'a [u32],
+    /// Bits of `post`, in `post` order.
+    pub(crate) post: &'a [u32],
+    /// Per instruction: the property bit a `Leaf` materializes (unused for
+    /// the other instructions).
+    pub(crate) leaf: &'a [u32],
+    /// The communicated-marker bit of `comm_node`.
+    pub(crate) comm: Option<u32>,
+}
+
+/// Where one triple's bits sit in [`Theory`]'s flat bit storage: `pre`
+/// from `pre`, `post` from `post`, one `leaf` entry per instruction from
+/// `leaf` up to `end`.
+#[derive(Clone, Copy, Debug)]
+struct BitSpan {
+    pre: u32,
+    post: u32,
+    leaf: u32,
+    end: u32,
+    /// The communicated-marker bit, or [`NO_BIT`].
+    comm: u32,
+}
+
+/// A [`BitSpan`] or leaf entry with no bit.
+const NO_BIT: u32 = u32::MAX;
+
+/// Lists keyed by property bit, stored back to back: list `b` is
+/// `items[starts[b]..starts[b + 1]]`.
+#[derive(Debug)]
+struct BitIndex<T> {
+    starts: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy + Default> BitIndex<T> {
+    /// Builds the index of `pairs` (`(bit, item)`, bits below `bits`);
+    /// each list keeps the order of `pairs`.
+    fn build(bits: usize, pairs: &[(u32, T)]) -> Self {
+        let mut starts = vec![0u32; bits + 1];
+        for &(b, _) in pairs {
+            starts[b as usize + 1] += 1;
+        }
+        for b in 0..bits {
+            starts[b + 1] += starts[b];
+        }
+        let mut next = starts.clone();
+        let mut items = vec![T::default(); pairs.len()];
+        for &(b, item) in pairs {
+            let at = &mut next[b as usize];
+            items[*at as usize] = item;
+            *at += 1;
+        }
+        BitIndex { starts, items }
+    }
+
+    /// The list of `bit`; empty for bits past the index.
+    fn get(&self, bit: u32) -> &[T] {
+        match (self.starts.get(bit as usize), self.starts.get(bit as usize + 1)) {
+            (Some(&lo), Some(&hi)) => &self.items[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+}
+
 /// The background theory for one graph.
+///
+/// Besides the triples, the theory carries the search's compiled view of
+/// them. Every property that appears in some triple gets a bit, in sorted
+/// order, so each node's properties are one contiguous bit range; every node
+/// a collective can communicate gets a communicated-marker bit after those.
+/// A search state's property set is then a fixed-width bitset of
+/// [`Theory::set_words`] words. The triples are indexed by the bit of their
+/// first (sorted) precondition, so a state's candidate triples are those
+/// lists for its set bits plus the triples with an empty precondition. The
+/// compiled view is built with the triples: `triples` must not be modified
+/// afterwards.
 #[derive(Debug)]
 pub struct Theory {
     /// All triples.
     pub triples: Vec<Triple>,
-    /// Index: property -> compute-triple indices with it in `pre`.
-    pre_index: HashMap<Prop, Vec<usize>>,
     /// Consumers of each node.
     pub consumers: Vec<Vec<NodeId>>,
     /// Required-output nodes (loss + updated parameters).
@@ -56,6 +131,27 @@ pub struct Theory {
     /// nodes (e.g. input gradients nothing consumes) are excluded from the
     /// admissible remaining-work bound and never count as search progress.
     pub live: Vec<bool>,
+    /// Bit -> property, sorted.
+    props: Vec<Prop>,
+    /// Per node, the bit range `[lo, hi)` of its properties.
+    node_bits: Vec<(u32, u32)>,
+    /// Words per property-set bitset.
+    words: usize,
+    /// Every triple's compiled bits, back to back.
+    bit_ids: Vec<u32>,
+    /// Per triple, where its bits sit in `bit_ids`.
+    spans: Vec<BitSpan>,
+    /// Triple indices by the bit of their first precondition property.
+    by_first_pre: BitIndex<u32>,
+    /// Indices of the triples with an empty precondition.
+    no_pre: Vec<u32>,
+    /// Index: property bit -> compute-triple indices with it in `pre`.
+    pre_index: BitIndex<usize>,
+    /// Per node: producing it lowers the remaining-work bound (a live
+    /// compute node).
+    pub(crate) counts_flops: Vec<bool>,
+    /// Per node: a required output.
+    pub(crate) is_required: Vec<bool>,
 }
 
 // The wave-parallel search borrows the theory immutably from every worker
@@ -194,15 +290,6 @@ impl Theory {
             }
         }
 
-        let mut pre_index: HashMap<Prop, Vec<usize>> = HashMap::new();
-        for (i, t) in triples.iter().enumerate() {
-            if t.comm_node.is_none() {
-                for &p in &t.pre {
-                    pre_index.entry(p).or_default().push(i);
-                }
-            }
-        }
-
         let required = graph.required_outputs();
         let mut live = vec![false; graph.len()];
         for &r in &required {
@@ -216,12 +303,149 @@ impl Theory {
             }
         }
 
-        Theory { triples, pre_index, consumers, required, live }
+        // The bit numbering: sorted properties, node by node, then
+        // communicated markers.
+        let mut placements: Vec<Vec<Placement>> = vec![Vec::new(); graph.len()];
+        for &(n, p) in triples.iter().flat_map(|t| t.pre.iter().chain(&t.post)) {
+            if !placements[n].contains(&p) {
+                placements[n].push(p);
+            }
+        }
+        let mut props: Vec<Prop> = Vec::new();
+        let mut node_bits: Vec<(u32, u32)> = Vec::with_capacity(graph.len());
+        for (n, node_placements) in placements.iter_mut().enumerate() {
+            node_placements.sort_unstable();
+            let lo = props.len() as u32;
+            props.extend(node_placements.iter().map(|&p| (n, p)));
+            node_bits.push((lo, props.len() as u32));
+        }
+        let bit_of =
+            |p: &Prop| prop_bit(&props, &node_bits, p).expect("every triple property is numbered");
+        let mut comm_bit: Vec<Option<u32>> = vec![None; graph.len()];
+        let mut next_bit = props.len() as u32;
+        for t in &triples {
+            if let Some(e) = t.comm_node {
+                comm_bit[e].get_or_insert_with(|| {
+                    next_bit += 1;
+                    next_bit - 1
+                });
+            }
+        }
+        let words = (next_bit as usize).div_ceil(64).max(1);
+
+        let mut bit_ids: Vec<u32> = Vec::new();
+        let mut first_pre: Vec<(u32, u32)> = Vec::new();
+        let mut no_pre = Vec::new();
+        let mut consumed: Vec<(u32, usize)> = Vec::new();
+        let spans: Vec<BitSpan> = triples
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                // Applying a triple marks the nodes of its collectives as
+                // communicated; the theory only emits collectives in
+                // communication triples, of their own `comm_node`.
+                debug_assert!(t.instrs.iter().all(|instr| match instr {
+                    DistInstr::Collective { node, .. } => t.comm_node == Some(*node),
+                    _ => true,
+                }));
+                // A successor records its skipped leaves as a `u32` mask.
+                assert!(t.instrs.len() <= 32, "a triple fuses at most 32 instructions");
+                let pre = bit_ids.len() as u32;
+                bit_ids.extend(t.pre.iter().map(&bit_of));
+                let post = bit_ids.len() as u32;
+                bit_ids.extend(t.post.iter().map(&bit_of));
+                let leaf = bit_ids.len() as u32;
+                bit_ids.extend(t.instrs.iter().map(|instr| match instr {
+                    DistInstr::Leaf { node, placement } => bit_of(&(*node, *placement)),
+                    _ => NO_BIT,
+                }));
+                let pre_bits = &bit_ids[pre as usize..post as usize];
+                match pre_bits.first() {
+                    Some(&first) => first_pre.push((first, i as u32)),
+                    None => no_pre.push(i as u32),
+                }
+                if t.comm_node.is_none() {
+                    consumed.extend(pre_bits.iter().map(|&b| (b, i)));
+                }
+                BitSpan {
+                    pre,
+                    post,
+                    leaf,
+                    end: bit_ids.len() as u32,
+                    comm: t.comm_node.and_then(|e| comm_bit[e]).unwrap_or(NO_BIT),
+                }
+            })
+            .collect();
+        let by_first_pre = BitIndex::build(props.len(), &first_pre);
+        let pre_index = BitIndex::build(props.len(), &consumed);
+
+        let counts_flops = graph.nodes().iter().map(|n| !n.op.is_leaf() && live[n.id]).collect();
+        let mut is_required = vec![false; graph.len()];
+        for &r in &required {
+            is_required[r] = true;
+        }
+
+        Theory {
+            triples,
+            consumers,
+            required,
+            live,
+            props,
+            node_bits,
+            words,
+            bit_ids,
+            spans,
+            by_first_pre,
+            no_pre,
+            pre_index,
+            counts_flops,
+            is_required,
+        }
     }
 
     /// Compute triples that need property `p` in their precondition.
     pub fn consumers_of_prop(&self, p: &Prop) -> &[usize] {
-        self.pre_index.get(p).map(Vec::as_slice).unwrap_or(&[])
+        prop_bit(&self.props, &self.node_bits, p).map_or(&[], |b| self.pre_index_of(b))
+    }
+
+    /// Compute triples with property bit `bit` in their precondition.
+    pub(crate) fn pre_index_of(&self, bit: u32) -> &[usize] {
+        self.pre_index.get(bit)
+    }
+
+    /// Triple `t`'s compiled bits.
+    #[inline]
+    pub(crate) fn bits(&self, t: u32) -> TripleBits<'_> {
+        let span = self.spans[t as usize];
+        let ids = |lo: u32, hi: u32| &self.bit_ids[lo as usize..hi as usize];
+        TripleBits {
+            pre: ids(span.pre, span.post),
+            post: ids(span.post, span.leaf),
+            leaf: ids(span.leaf, span.end),
+            comm: (span.comm != NO_BIT).then_some(span.comm),
+        }
+    }
+
+    /// Words per property-set bitset.
+    pub(crate) fn set_words(&self) -> usize {
+        self.words
+    }
+
+    /// True if any property of `node` is in `set` (the node is produced).
+    #[inline]
+    pub(crate) fn has_node(&self, set: &[u64], node: NodeId) -> bool {
+        let (lo, hi) = self.node_bits[node];
+        (lo..hi).any(|b| has_bit(set, b))
+    }
+
+    /// The triples that can apply to `set`, in theory order, into `out`: a
+    /// triple applies only if its precondition holds, so only triples with
+    /// an empty precondition or whose first precondition bit is set qualify.
+    pub(crate) fn candidates(&self, set: &[u64], out: &mut Vec<u32>) {
+        out.clear();
+        out.extend_from_slice(&self.no_pre);
+        for_each_bit(set, |b| out.extend_from_slice(self.by_first_pre.get(b)));
+        out.sort_unstable();
     }
 
     /// Number of triples (reported by the Fig. 19 overhead experiment).
@@ -233,6 +457,14 @@ impl Theory {
     pub fn is_empty(&self) -> bool {
         self.triples.is_empty()
     }
+}
+
+/// The bit of property `p` in the numbering `props` (sorted, with each
+/// node's properties at `node_bits[node]`), if numbered.
+fn prop_bit(props: &[Prop], node_bits: &[(u32, u32)], p: &Prop) -> Option<u32> {
+    let &(lo, hi) = node_bits.get(p.0)?;
+    let at = props[lo as usize..hi as usize].binary_search(p).ok()?;
+    Some(lo + at as u32)
 }
 
 #[cfg(test)]
