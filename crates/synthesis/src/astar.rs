@@ -245,10 +245,6 @@ impl Arena {
     /// An arena holding the root state — no properties, nothing computed —
     /// committed at cost 0.
     fn new(theory: &Theory, graph: &Graph, m: usize) -> Self {
-        let words = theory.set_words();
-        let mut sets = SetArena::new(words);
-        let empty = vec![0; words];
-        let (set, _) = sets.insert(&empty, SetArena::hash(&empty));
         let remaining_flops: f64 = graph
             .nodes()
             .iter()
@@ -256,7 +252,7 @@ impl Arena {
             .map(|n| graph.node_flops(n.id))
             .sum();
         let root = Node {
-            set,
+            set: 0,
             parent: ROOT,
             triple: ROOT,
             skipped: 0,
@@ -265,7 +261,17 @@ impl Arena {
             remaining_flops,
             remaining_required: theory.required.len() as u32,
         };
-        Arena { m, sets, dominance: vec![0.0], nodes: vec![root], stages: vec![0.0; m] }
+        let mut arena = Arena {
+            m,
+            sets: SetArena::new(theory.set_words()),
+            dominance: Vec::new(),
+            nodes: vec![root],
+            stages: vec![0.0; m],
+        };
+        // The root's set: empty, interned first (id 0), committed at cost 0.
+        arena.intern(&vec![0; theory.set_words()]);
+        arena.dominance[0] = 0.0;
+        arena
     }
 
     fn state(&self, id: u32) -> StateRef<'_> {
@@ -282,6 +288,16 @@ impl Arena {
     fn cost(&self, id: u32) -> f64 {
         let state = self.state(id);
         state.closed + state.stage_max()
+    }
+
+    /// Interns `set`, returning its id and whether it was new (a new set
+    /// has no dominance entry yet: its best cost is infinite).
+    fn intern(&mut self, set: &[u64]) -> (u32, bool) {
+        let (id, fresh) = self.sets.insert(set, SetArena::hash(set));
+        if fresh {
+            self.dominance.push(f64::INFINITY);
+        }
+        (id, fresh)
     }
 
     /// Commits a state; returns its id.
@@ -312,6 +328,12 @@ impl Arena {
 /// `skipped` already materialized.
 fn emitted(triple: &Triple, skipped: u32) -> impl Iterator<Item = &DistInstr> {
     triple.instrs.iter().enumerate().filter(move |(i, _)| (skipped >> i) & 1 == 0).map(|(_, i)| i)
+}
+
+/// The fingerprint of a program with fingerprint `h` once `triple` is
+/// applied with the leaves in `skipped` already materialized.
+fn extend_fingerprint(h: u64, triple: &Triple, skipped: u32) -> u64 {
+    emitted(triple, skipped).fold(h, |h, instr| instr.mix_fingerprint(h))
 }
 
 /// A frontier entry: a committed state plus its cached admissible score.
@@ -875,12 +897,7 @@ fn synthesize_core(
             }
             let expansion = &expanded[cand.src as usize];
             let set = if cand.set == NEW_SET {
-                let set = &expansion.new_sets[cand.new_set as usize * words..][..words];
-                let (id, fresh) = arena.sets.insert(set, SetArena::hash(set));
-                if fresh {
-                    arena.dominance.push(f64::INFINITY);
-                }
-                id
+                arena.intern(&expansion.new_sets[cand.new_set as usize * words..][..words]).0
             } else {
                 cand.set
             };
@@ -1008,8 +1025,8 @@ fn expand(
             }
             (score, set)
         };
-        let fingerprint = emitted(&theory.triples[t as usize], succ.skipped)
-            .fold(parent_fingerprint, |h, instr| instr.mix_fingerprint(h));
+        let fingerprint =
+            extend_fingerprint(parent_fingerprint, &theory.triples[t as usize], succ.skipped);
         out.push(&succ, score, cost, fingerprint, src, t, set);
     }
     out
@@ -1352,18 +1369,18 @@ impl HotPathBench {
                         preview(&state, stage_max, t, &theory, &costs, &mut scratch);
                     scores.push(pcost + costs.best_case_seconds(premaining));
                     apply(&state, t, &theory, &costs, &mut succ);
-                    let (set, fresh) = arena.sets.insert(&succ.set, SetArena::hash(&succ.set));
-                    if fresh {
-                        arena.dominance.push(f64::INFINITY);
-                    }
+                    let (set, fresh) = arena.intern(&succ.set);
                     if fresh && queue.len() + states.len() < max_states {
                         let node = Node {
                             set,
                             parent: id,
                             triple: t,
                             skipped: succ.skipped,
-                            fingerprint: emitted(&theory.triples[t as usize], succ.skipped)
-                                .fold(parent_fingerprint, |h, i| i.mix_fingerprint(h)),
+                            fingerprint: extend_fingerprint(
+                                parent_fingerprint,
+                                &theory.triples[t as usize],
+                                succ.skipped,
+                            ),
                             closed: succ.closed,
                             remaining_flops: succ.remaining_flops,
                             remaining_required: succ.remaining_required,
@@ -1461,8 +1478,11 @@ impl HotPathBench {
                 checksum = checksum.rotate_left(1) ^ score.to_bits();
                 if score < self.bound {
                     apply(&state, t, &self.theory, &costs, &mut succ);
-                    let fingerprint = emitted(&self.theory.triples[t as usize], succ.skipped)
-                        .fold(parent_fingerprint, |h, i| i.mix_fingerprint(h));
+                    let fingerprint = extend_fingerprint(
+                        parent_fingerprint,
+                        &self.theory.triples[t as usize],
+                        succ.skipped,
+                    );
                     let (cost, fingerprint) = record(&mut out, &succ, t, succ.cost(), fingerprint);
                     checksum = checksum.rotate_left(1) ^ cost.to_bits() ^ fingerprint;
                 }
