@@ -857,7 +857,6 @@ fn synthesize_core(
             // are discarded so the result is the last wave's incumbent.
             return budget_fallback(incumbent, expansions);
         }
-        prof.recycled += wave.len() as u64;
 
         // Gather: merge the wave's candidates in a stable, thread-count
         // independent order before any of them takes effect.
@@ -874,11 +873,11 @@ fn synthesize_core(
         // Commit sequentially in merge order: intern new sets, then the
         // dominance entry, the state, and its frontier entry.
         let words = theory.set_words();
+        let committed_before = prof.committed;
         for cand in &candidates {
             if let Some(inc) = &incumbent {
                 if cand.score >= inc.cost - EPS {
                     prof.incumbent_pruned += 1;
-                    prof.recycled += 1;
                     continue; // cannot beat the incumbent
                 }
             }
@@ -892,7 +891,6 @@ fn synthesize_core(
                 incumbent = Some(Incumbent { cost: cand.cost, program });
                 last_improvement = expansions;
                 prof.improvements += 1;
-                prof.recycled += 1;
                 continue;
             }
             let expansion = &expanded[cand.src as usize];
@@ -903,7 +901,6 @@ fn synthesize_core(
             };
             if arena.dominance[set as usize] <= cand.cost + EPS {
                 prof.dominance_pruned += 1;
-                prof.recycled += 1;
                 continue;
             }
             arena.dominance[set as usize] = cand.cost;
@@ -924,6 +921,9 @@ fn synthesize_core(
             seq += 1;
             prof.committed += 1;
         }
+        // The spent wave states retire, with every candidate not committed.
+        prof.recycled +=
+            (wave.len() + candidates.len()) as u64 - (prof.committed - committed_before);
 
         if let Some(beam) = config.beam_width {
             if frontier.len() > beam * 2 {
