@@ -348,6 +348,40 @@ mod tests {
     }
 
     #[test]
+    fn chain_fingerprint_matches_program_fingerprint() {
+        // The search extends a state's fingerprint one instruction at a
+        // time from its parent's; the running fold must equal the
+        // fingerprint of the materialized program at every prefix.
+        let (_, prog) = fig11_program();
+        assert_eq!(DistProgram::default().fingerprint(), FNV_OFFSET);
+        let mut h = FNV_OFFSET;
+        for (i, instr) in prog.instrs.iter().enumerate() {
+            h = instr.mix_fingerprint(h);
+            let prefix = DistProgram { instrs: prog.instrs[..=i].to_vec(), estimated_time: 0.0 };
+            assert_eq!(h, prefix.fingerprint(), "prefix of {} instrs", i + 1);
+        }
+        assert_eq!(h, prog.fingerprint());
+    }
+
+    #[test]
+    fn chains_share_prefixes() {
+        // Siblings in the search tree extend their shared parent's
+        // fingerprint: each must equal its own program's fingerprint, and
+        // different last instructions must still hash apart.
+        let (_, prog) = fig11_program();
+        let base = prog.instrs[0].mix_fingerprint(FNV_OFFSET);
+        let a = prog.instrs[1].mix_fingerprint(base);
+        let b = prog.instrs[2].mix_fingerprint(base);
+        assert_ne!(a, b);
+        let with_tail = |tail: &DistInstr| DistProgram {
+            instrs: vec![prog.instrs[0].clone(), tail.clone()],
+            estimated_time: 0.0,
+        };
+        assert_eq!(a, with_tail(&prog.instrs[1]).fingerprint());
+        assert_eq!(b, with_tail(&prog.instrs[2]).fingerprint());
+    }
+
+    #[test]
     fn fingerprint_distinguishes_order_and_content() {
         let (_, prog) = fig11_program();
         let mut reversed = prog.clone();
