@@ -102,7 +102,8 @@ fn bench_parallel_synthesis(c: &mut Criterion) {
     // so every thread count performs the identical (deterministic) search —
     // the series differ only in wall-clock time, which is exactly the
     // speedup the parallel waves are supposed to buy on multi-core hosts.
-    // t2 matches a 2-vCPU host; t4 oversubscribes it.
+    // t4 asks for more workers than a 2-vCPU host has; a search runs at
+    // most one per core, so there it runs like t2.
     let graph = bert_base(&BertConfig::tiny());
     let cluster = ClusterSpec::paper_heterogeneous(1);
     let devices = cluster.virtual_devices(Granularity::PerMachine);
@@ -156,9 +157,9 @@ fn bench_expand_hot_path(c: &mut Criterion) {
     c.bench_function_with_units("synthesis/expand_hot_path_direct", apps, |bench| {
         bench.iter(|| black_box(workload.run(false)))
     });
-    // The same inner loop through the recycling arena `expand` uses in
-    // production. A `ratio` line in bench_gates.ref holds it to within 10%
-    // of the allocating variant — state recycling must never cost.
+    // The same inner loop recording every successor into a wave slot's
+    // buffers, as `expand` hands it to the wave merge. A `ratio` line in
+    // bench_gates.ref holds it to within 10% of building alone.
     c.bench_function_with_units("synthesis/expand_hot_path_arena", apps, |bench| {
         bench.iter(|| black_box(workload.run_arena()))
     });

@@ -30,8 +30,7 @@
 //! * **Worker pool** — queued syntheses drain across persistent worker
 //!   threads sized by mini-rayon's parallelism accounting (`workers`
 //!   threads, `0` = all cores), one job per worker at a time; each job's
-//!   wave-parallel A\* fans out over the vendored mini-rayon pool in
-//!   turn.
+//!   wave-parallel A\* runs on its own crew of mini-rayon workers in turn.
 //! * **Nearest-neighbor warm start** — a miss whose *graph* is already
 //!   cached under a different cluster seeds
 //!   [`hap::parallelize_with_warm`] with the nearest cached cluster's

@@ -276,7 +276,10 @@ impl EventLoop {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
+                    // No Nagle delay: a response written while the previous
+                    // one is unacknowledged must not wait for the client's
+                    // delayed ACK (peer links in `peer.rs` do the same).
+                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                         continue;
                     }
                     let token = self.next_token;
@@ -559,5 +562,32 @@ mod tests {
         assert_eq!(poll_tick_ms(0, false), STOP_POLL_MS);
         assert_eq!(poll_tick_ms(0, true), 20);
         assert_eq!(poll_tick_ms(300_000, true), 20);
+    }
+
+    #[test]
+    fn accepted_connections_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let config = ServiceConfig { workers: 1, ..ServiceConfig::default() };
+        let service = Arc::new(PlanService::new(config).unwrap());
+        let poller = Poller::new().unwrap();
+        let shared = Arc::new(LoopShared {
+            stop: AtomicBool::new(false),
+            completions: Mutex::new(Vec::new()),
+            waker: poller.waker(),
+        });
+        let mut event_loop = EventLoop::new(poller, listener, service, shared);
+        let _client = TcpStream::connect(addr).unwrap();
+        let t0 = Instant::now();
+        while event_loop.conns.is_empty() {
+            assert!(t0.elapsed() < Duration::from_secs(10), "the connection was never accepted");
+            std::thread::sleep(Duration::from_millis(1));
+            event_loop.accept_ready();
+        }
+        assert_eq!(event_loop.conns.len(), 1);
+        for entry in event_loop.conns.values() {
+            assert!(entry.conn.stream.nodelay().unwrap());
+        }
     }
 }

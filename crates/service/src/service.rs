@@ -144,8 +144,8 @@ impl PlanService {
     /// mini-rayon's parallelism accounting (`workers` threads, `0` = all
     /// cores); each worker pulls one job at a time, so a slow synthesis
     /// never stalls queued work behind a batch barrier, and each job's
-    /// wave-parallel A\* fans out over the vendored mini-rayon pool in
-    /// turn (`options.synth.threads`).
+    /// wave-parallel A\* runs on its own crew of mini-rayon workers in turn
+    /// (`options.synth.threads`).
     ///
     /// A log that fails to *decode* (interior corruption) refuses to boot
     /// — silently dropping persisted state would hide data loss (the

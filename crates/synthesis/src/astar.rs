@@ -12,8 +12,8 @@
 //! # Parallel waves, deterministic results
 //!
 //! The search proceeds in *waves*: each wave pops the best [`WAVE_WIDTH`]
-//! states from the frontier, expands them across a scoped thread pool
-//! ([`mini_rayon`] scatter/gather), then merges the candidate successors
+//! states from the frontier, expands them across the search's crew of
+//! [`mini_rayon::Workers`], then merges the candidate successors
 //! **sequentially in a stable order** — sorted by `(score, cost, program
 //! fingerprint)` — before committing any of them to the set arena, the
 //! dominance table, the incumbent, or the frontier. During a wave all of
@@ -26,6 +26,16 @@
 //! it fires, the incumbent of the last completed wave — itself a
 //! deterministic function of the wave count — is returned.
 //!
+//! Waves start no threads and, once their buffers have grown, allocate
+//! nothing; only the search's own state (committed states, interned sets,
+//! the frontier) keeps growing. The crew's helper threads start on the
+//! search's first wave with more than one state, park between waves, and
+//! are joined when the search returns (a search that expands no wave, such
+//! as every zero-budget call, starts none). Each wave position owns a
+//! [`Slot`] of expansion buffers for the whole search, which `expand`
+//! clears and refills, and the merge sorts compact keys in one reused
+//! buffer and reads the candidates from the slots.
+//!
 //! # Flat search states
 //!
 //! A state's property set is a fixed-width bitset over the theory's
@@ -36,12 +46,11 @@
 //! records, materialized only for an incumbent. Expanding a state
 //! enumerates its candidate triples from the theory's first-precondition
 //! index (in theory order), costs each from dense precomputed
-//! [`CostTables`], previews with a reused scratch row, and builds survivors
-//! into reused buffers: a wave allocates a few vectors per expanded state,
-//! not per successor, and dropping the search frees a handful of vectors.
-//! [`HotPathBench`] replays this loop as a micro-benchmarkable workload
-//! (`synthesis/expand_hot_path`), with a `Direct` cost oracle preserving
-//! the pre-table behavior for comparison.
+//! [`CostTables`], previews with its slot's scratch row, and builds
+//! survivors into its slot's buffers, so dropping the search frees a
+//! handful of vectors. [`HotPathBench`] replays this loop on a slot as a
+//! micro-benchmarkable workload (`synthesis/expand_hot_path`), with a
+//! `Direct` cost oracle preserving the pre-table behavior for comparison.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -79,10 +88,12 @@ pub struct SynthConfig {
     pub grouped_broadcast: bool,
     /// Include the SFB-enabling replicated gradient rules (Sec. 4.4).
     pub sfb: bool,
-    /// Worker threads for the wave-parallel expansion; `0` (the default)
-    /// uses all available cores, `1` runs fully sequentially with no thread
-    /// spawns. The synthesized program is bit-for-bit identical for every
-    /// value — the knob only trades wall-clock time.
+    /// Worker threads for the wave-parallel expansion, the calling thread
+    /// included; `0` (the default) uses all available cores, `1` runs fully
+    /// sequentially with no thread started. A search never runs more
+    /// workers than `available_parallelism()`: the synthesized program is
+    /// bit-for-bit identical for every value, so workers beyond the cores
+    /// would only take turns on them.
     pub threads: usize,
 }
 
@@ -578,10 +589,6 @@ struct Cand {
     cost: f64,
     /// Stable program fingerprint — the cross-thread-count tie-break.
     fingerprint: u64,
-    /// Position of the parent in its wave.
-    src: u32,
-    /// Position of this candidate in its [`Expansion`].
-    slot: u32,
     triple: u32,
     skipped: u32,
     /// Interned set id, or [`NEW_SET`].
@@ -596,6 +603,7 @@ struct Cand {
 
 /// One wave state's surviving successors, in theory order, with their
 /// running stages and not-yet-interned sets in flat buffers.
+#[derive(Default)]
 struct Expansion {
     cands: Vec<Cand>,
     /// `m` stage seconds per candidate.
@@ -605,20 +613,21 @@ struct Expansion {
 }
 
 impl Expansion {
-    fn new() -> Self {
-        Expansion { cands: Vec::new(), stages: Vec::new(), new_sets: Vec::new() }
+    /// Empties the buffers, keeping their capacity.
+    fn clear(&mut self) {
+        self.cands.clear();
+        self.stages.clear();
+        self.new_sets.clear();
     }
 
     /// Records `succ` as a candidate; `set` is its interned id or
     /// [`NEW_SET`], in which case its words are copied.
-    #[allow(clippy::too_many_arguments)]
     fn push(
         &mut self,
         succ: &Succ,
         score: f64,
         cost: f64,
         fingerprint: u64,
-        src: u32,
         triple: u32,
         set: u32,
     ) -> &Cand {
@@ -634,8 +643,6 @@ impl Expansion {
             score,
             cost,
             fingerprint,
-            src,
-            slot: self.cands.len() as u32,
             triple,
             skipped: succ.skipped,
             set,
@@ -645,6 +652,59 @@ impl Expansion {
             remaining_required: succ.remaining_required,
         });
         self.cands.last().expect("just pushed")
+    }
+}
+
+/// One wave position's expansion buffers. A search owns one per position
+/// for its whole run: [`expand`] clears the slot (keeping every buffer's
+/// capacity) and refills it, and the merge reads the candidates from it.
+/// The alignment keeps the buffer headers a worker writes off every other
+/// slot's cache lines.
+#[repr(align(128))]
+struct Slot {
+    /// The surviving successors.
+    out: Expansion,
+    /// The preview's running-stage row.
+    scratch: Vec<f64>,
+    /// The successor under construction.
+    succ: Succ,
+    /// The expanded state's candidate triples.
+    triples: Vec<u32>,
+}
+
+impl Slot {
+    fn new(words: usize, m: usize) -> Self {
+        Slot {
+            out: Expansion::default(),
+            scratch: vec![0.0; m],
+            succ: Succ::new(words, m),
+            triples: Vec::new(),
+        }
+    }
+}
+
+/// A candidate's place in the wave merge: its sort key, then where it
+/// lives. Completing the key with the position makes an unstable sort put
+/// the candidates in the stable order of `(score, cost, fingerprint)` over
+/// the wave's slots in order.
+#[derive(Clone, Copy)]
+struct MergeKey {
+    score: f64,
+    cost: f64,
+    fingerprint: u64,
+    /// Position of the parent in its wave (and of its [`Slot`]).
+    src: u32,
+    /// Position of the candidate in its slot.
+    index: u32,
+}
+
+impl MergeKey {
+    fn order(&self, other: &Self) -> Ordering {
+        self.score
+            .total_cmp(&other.score)
+            .then_with(|| self.cost.total_cmp(&other.cost))
+            .then_with(|| self.fingerprint.cmp(&other.fingerprint))
+            .then_with(|| (self.src, self.index).cmp(&(other.src, other.index)))
     }
 }
 
@@ -744,7 +804,9 @@ fn synthesize_core(
     let tables = CostTables::build(&cm);
     let costs = CostSource::Tables(&tables);
     let m = cm.num_devices();
-    let pool = ThreadPool::new(config.threads);
+    // Helper threads start on the first wave with more than one state and
+    // are joined when this function returns or unwinds.
+    let mut workers = ThreadPool::new(config.threads).workers();
     let mut arena = Arena::new(theory, graph, m);
     let debug = std::env::var_os("HAP_SYNTH_DEBUG").is_some();
 
@@ -792,6 +854,13 @@ fn synthesize_core(
     let mut expansions = 0usize;
     let mut last_improvement = 0usize;
 
+    // Buffers reused by every wave: its states, one slot of expansion
+    // buffers per wave position (made on first use), and the merge keys.
+    let mut wave: Vec<u32> = Vec::new();
+    let mut slots: Vec<Slot> = Vec::new();
+    let mut merge: Vec<MergeKey> = Vec::new();
+    let words = theory.set_words();
+
     loop {
         if out_of_time.load(AtomicOrdering::Relaxed) || Instant::now() >= deadline {
             // Budget exhausted: fall back to the incumbent (paper-style
@@ -807,9 +876,9 @@ fn synthesize_core(
         if budget_left == 0 {
             if debug {
                 eprintln!(
-                    "astar: expansion budget {} exhausted over {} threads, frontier {}",
+                    "astar: expansion budget {} exhausted over {} workers, frontier {}",
                     config.max_expansions,
-                    pool.threads(),
+                    workers.started() + 1,
                     frontier.len()
                 );
             }
@@ -820,7 +889,7 @@ fn synthesize_core(
 
         // Pop the wave: the globally best states, skipping entries that a
         // cheaper path to the same property set has made stale.
-        let mut wave: Vec<u32> = Vec::with_capacity(WAVE_WIDTH.min(budget_left));
+        wave.clear();
         while wave.len() < WAVE_WIDTH.min(budget_left) {
             let Some(entry) = frontier.pop() else { break };
             if let Some(inc) = &incumbent {
@@ -845,12 +914,15 @@ fn synthesize_core(
         prof.waves += 1;
         prof.expansions += wave.len() as u64;
 
-        // Scatter: expand every wave state in parallel. The arena and the
-        // incumbent are frozen for the duration, so workers only do
-        // deterministic reads.
+        // Scatter: expand every wave state in parallel, each into its own
+        // slot. The arena and the incumbent are frozen for the duration,
+        // so workers only do deterministic reads.
+        while slots.len() < wave.len() {
+            slots.push(Slot::new(words, m));
+        }
         let incumbent_cost = incumbent.as_ref().map(|i| i.cost);
-        let expanded: Vec<Expansion> = pool.scatter_map(&wave, |src, &node| {
-            expand(&arena, node, src as u32, theory, &costs, incumbent_cost, &out_of_time, deadline)
+        workers.for_each_mut(&mut slots[..wave.len()], |src, slot| {
+            expand(&arena, wave[src], theory, &costs, incumbent_cost, &out_of_time, deadline, slot)
         });
         if out_of_time.load(AtomicOrdering::Relaxed) {
             // The wave was abandoned mid-expansion; its partial candidates
@@ -860,28 +932,32 @@ fn synthesize_core(
 
         // Gather: merge the wave's candidates in a stable, thread-count
         // independent order before any of them takes effect.
-        let mut candidates: Vec<Cand> =
-            expanded.iter().flat_map(|e| e.cands.iter().copied()).collect();
-        prof.candidates += candidates.len() as u64;
-        candidates.sort_by(|a, b| {
-            a.score
-                .total_cmp(&b.score)
-                .then_with(|| a.cost.total_cmp(&b.cost))
-                .then_with(|| a.fingerprint.cmp(&b.fingerprint))
-        });
+        merge.clear();
+        for (src, slot) in slots[..wave.len()].iter().enumerate() {
+            merge.extend(slot.out.cands.iter().enumerate().map(|(index, c)| MergeKey {
+                score: c.score,
+                cost: c.cost,
+                fingerprint: c.fingerprint,
+                src: src as u32,
+                index: index as u32,
+            }));
+        }
+        prof.candidates += merge.len() as u64;
+        merge.sort_unstable_by(MergeKey::order);
 
         // Commit sequentially in merge order: intern new sets, then the
         // dominance entry, the state, and its frontier entry.
-        let words = theory.set_words();
         let committed_before = prof.committed;
-        for cand in &candidates {
+        for key in &merge {
             if let Some(inc) = &incumbent {
-                if cand.score >= inc.cost - EPS {
+                if key.score >= inc.cost - EPS {
                     prof.incumbent_pruned += 1;
                     continue; // cannot beat the incumbent
                 }
             }
-            let parent = wave[cand.src as usize];
+            let parent = wave[key.src as usize];
+            let out = &slots[key.src as usize].out;
+            let cand = &out.cands[key.index as usize];
             if cand.remaining_required == 0 {
                 // Complete and strictly better (score == cost passed the
                 // bound above). Equal-cost ties resolve to the candidate
@@ -893,9 +969,8 @@ fn synthesize_core(
                 prof.improvements += 1;
                 continue;
             }
-            let expansion = &expanded[cand.src as usize];
             let set = if cand.set == NEW_SET {
-                arena.intern(&expansion.new_sets[cand.new_set as usize * words..][..words]).0
+                arena.intern(&out.new_sets[cand.new_set as usize * words..][..words]).0
             } else {
                 cand.set
             };
@@ -915,15 +990,14 @@ fn synthesize_core(
                     remaining_flops: cand.remaining_flops,
                     remaining_required: cand.remaining_required,
                 },
-                &expansion.stages[cand.slot as usize * m..][..m],
+                &out.stages[key.index as usize * m..][..m],
             );
             frontier.push(Entry { score: cand.score, seq, node });
             seq += 1;
             prof.committed += 1;
         }
         // The spent wave states retire, with every candidate not committed.
-        prof.recycled +=
-            (wave.len() + candidates.len()) as u64 - (prof.committed - committed_before);
+        prof.recycled += (wave.len() + merge.len()) as u64 - (prof.committed - committed_before);
 
         if let Some(beam) = config.beam_width {
             if frontier.len() > beam * 2 {
@@ -935,8 +1009,8 @@ fn synthesize_core(
 
     if debug {
         eprintln!(
-            "astar: {expansions} expansions over {} threads, frontier {} at exit, {} sets",
-            pool.threads(),
+            "astar: {expansions} expansions over {} workers, frontier {} at exit, {} sets",
+            workers.started() + 1,
             frontier.len(),
             arena.sets.len()
         );
@@ -958,49 +1032,47 @@ fn budget_fallback(
     incumbent.map(Incumbent::into_program).ok_or(SynthError::ExpansionLimit(expansions))
 }
 
-/// Expands committed state `node` (wave slot `src`), returning its
-/// surviving successors. Runs on worker threads: reads the frozen arena and
-/// incumbent bound, writes nothing shared, and polls the shared deadline
-/// flag. Only the triples the theory's index offers for the state's set are
-/// visited, in theory order; each is tested, previewed against the bound
-/// without building anything, and only then built into one reused
-/// successor buffer.
+/// Expands committed state `node` into `slot`, replacing what the slot held
+/// with the state's surviving successors. Runs on worker threads: reads the
+/// frozen arena and incumbent bound, writes only its own slot, and polls
+/// the shared deadline flag. Only the triples the theory's index offers for
+/// the state's set are visited, in theory order; each is tested, previewed
+/// against the bound without building anything, and only then built into
+/// the slot's successor buffer.
 #[allow(clippy::too_many_arguments)]
 fn expand(
     arena: &Arena,
     node: u32,
-    src: u32,
     theory: &Theory,
     costs: &CostSource,
     incumbent_cost: Option<f64>,
     out_of_time: &AtomicBool,
     deadline: Instant,
-) -> Expansion {
+    slot: &mut Slot,
+) {
     let cur = arena.state(node);
     let parent_fingerprint = arena.nodes[node as usize].fingerprint;
-    let mut out = Expansion::new();
-    let mut scratch = vec![0.0; arena.m];
-    let mut succ = Succ::new(theory.set_words(), arena.m);
-    let mut triples = Vec::new();
-    theory.candidates(cur.set, &mut triples);
+    let Slot { out, scratch, succ, triples } = slot;
+    out.clear();
+    theory.candidates(cur.set, triples);
     let cur_stage_max = cur.stage_max();
     for (k, &t) in triples.iter().enumerate() {
         if k % DEADLINE_STRIDE == 0
             && (out_of_time.load(AtomicOrdering::Relaxed) || Instant::now() >= deadline)
         {
             out_of_time.store(true, AtomicOrdering::Relaxed);
-            return out;
+            return;
         }
         if !applicable(cur.set, theory.bits(t)) {
             continue;
         }
         if let Some(bound) = incumbent_cost {
-            let (pcost, premaining) = preview(&cur, cur_stage_max, t, theory, costs, &mut scratch);
+            let (pcost, premaining) = preview(&cur, cur_stage_max, t, theory, costs, scratch);
             if pcost + costs.best_case_seconds(premaining) >= bound - EPS {
                 continue; // cannot beat the incumbent: skip without building
             }
         }
-        apply(&cur, t, theory, costs, &mut succ);
+        apply(&cur, t, theory, costs, succ);
         let cost = succ.cost();
         if let Some(bound) = incumbent_cost {
             if cost >= bound - EPS {
@@ -1027,9 +1099,8 @@ fn expand(
         };
         let fingerprint =
             extend_fingerprint(parent_fingerprint, &theory.triples[t as usize], succ.skipped);
-        out.push(&succ, score, cost, fingerprint, src, t, set);
+        out.push(succ, score, cost, fingerprint, t, set);
     }
-    out
 }
 
 /// Greedy descent to an initial complete program: from the root state,
@@ -1291,7 +1362,7 @@ fn replay_cost(program: &DistProgram, costs: &CostSource, m: usize) -> f64 {
 }
 
 /// A frozen expand-hot-path workload: reachable search states, isolated
-/// from the frontier, the merge and the thread pool.
+/// from the frontier, the merge and the workers.
 ///
 /// [`HotPathBench::run`] replays the inner loop of the search's `expand`
 /// over the workload — enumerate each state's candidate triples from the
@@ -1424,23 +1495,24 @@ impl HotPathBench {
     /// [`HotPathBench::run`] through the table oracle, with every surviving
     /// successor recorded the way `expand` hands it to the wave merge: its
     /// set looked up among the interned sets, and the candidate, its stage
-    /// and (when new) its set copied into the state's flat output buffers.
-    /// The checksum must match [`HotPathBench::run`] bit for bit (asserted
-    /// by the micro-bench and the equivalence test); the
+    /// and (when new) its set copied into the slot's output buffers. The
+    /// checksum must match [`HotPathBench::run`] bit for bit (asserted by
+    /// the micro-bench and the equivalence test); the
     /// `synthesis/expand_hot_path_arena` series gates what recording costs
     /// over building alone.
     pub fn run_arena(&self) -> (usize, u64) {
         self.replay(true, |out, succ, t, cost, fingerprint| {
             let set = self.arena.sets.find(&succ.set, SetArena::hash(&succ.set));
-            let cand = out.push(succ, cost, cost, fingerprint, 0, t, set.unwrap_or(NEW_SET));
+            let cand = out.push(succ, cost, cost, fingerprint, t, set.unwrap_or(NEW_SET));
             (cand.cost, cand.fingerprint)
         })
     }
 
-    /// The shared replay loop: `record` sees each surviving successor with
-    /// its triple, cost and fingerprint (and the state's output buffer,
-    /// cleared per state) and returns the cost and fingerprint to fold into
-    /// the checksum.
+    /// The shared replay loop, on one [`Slot`] that every state reuses the
+    /// way a search's slots serve wave after wave: `record` sees each
+    /// surviving successor with its triple, cost and fingerprint (and the
+    /// slot's output buffers, cleared per state) and returns the cost and
+    /// fingerprint to fold into the checksum.
     fn replay(
         &self,
         use_tables: bool,
@@ -1452,38 +1524,33 @@ impl HotPathBench {
         let cm = CostModel::new(&self.graph, &self.devices, &self.profile, &self.ratios);
         let costs =
             if use_tables { CostSource::Tables(&self.tables) } else { CostSource::Direct(&cm) };
-        let m = self.devices.len();
-        let mut scratch = vec![0.0; m];
-        let mut succ = Succ::new(self.theory.set_words(), m);
-        let mut triples = Vec::new();
-        let mut out = Expansion::new();
+        let mut slot = Slot::new(self.theory.set_words(), self.devices.len());
+        let Slot { out, scratch, succ, triples } = &mut slot;
         let mut applications = 0usize;
         let mut checksum = 0u64;
         for &id in &self.states {
             let state = self.arena.state(id);
             let parent_fingerprint = self.arena.nodes[id as usize].fingerprint;
             let stage_max = state.stage_max();
-            out.cands.clear();
-            out.stages.clear();
-            out.new_sets.clear();
-            self.theory.candidates(state.set, &mut triples);
-            for &t in &triples {
+            out.clear();
+            self.theory.candidates(state.set, triples);
+            for &t in triples.iter() {
                 if !applicable(state.set, self.theory.bits(t)) {
                     continue;
                 }
                 let (pcost, premaining) =
-                    preview(&state, stage_max, t, &self.theory, &costs, &mut scratch);
+                    preview(&state, stage_max, t, &self.theory, &costs, scratch);
                 let score = pcost + costs.best_case_seconds(premaining);
                 applications += 1;
                 checksum = checksum.rotate_left(1) ^ score.to_bits();
                 if score < self.bound {
-                    apply(&state, t, &self.theory, &costs, &mut succ);
+                    apply(&state, t, &self.theory, &costs, succ);
                     let fingerprint = extend_fingerprint(
                         parent_fingerprint,
                         &self.theory.triples[t as usize],
                         succ.skipped,
                     );
-                    let (cost, fingerprint) = record(&mut out, &succ, t, succ.cost(), fingerprint);
+                    let (cost, fingerprint) = record(out, succ, t, succ.cost(), fingerprint);
                     checksum = checksum.rotate_left(1) ^ cost.to_bits() ^ fingerprint;
                 }
             }
@@ -1707,6 +1774,61 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    #[test]
+    fn concurrent_searches_match_sequential_ones() {
+        // Two searches started together, each with its own two workers,
+        // return exactly what each returns alone on one thread: program,
+        // time bits and every search counter.
+        let mlp = |width: usize| {
+            let mut g = GraphBuilder::new();
+            let x = g.placeholder("x", vec![8192, 128]);
+            let w1 = g.parameter("w1", vec![128, width]);
+            let w2 = g.parameter("w2", vec![width, 64]);
+            let labels = g.label("y", vec![8192]);
+            let h = g.matmul(x, w1);
+            let h = g.relu(h);
+            let h = g.matmul(h, w2);
+            let loss = g.cross_entropy(h, labels);
+            g.build_training(loss).unwrap()
+        };
+        let graphs = [mlp(256), mlp(96)];
+        let theories = graphs.each_ref().map(Theory::build);
+        let (devices, profile, ratios) = cluster_setup(4);
+        let cfg = |threads: usize| SynthConfig {
+            threads,
+            time_budget_secs: 60.0,
+            max_expansions: 1_500,
+            ..SynthConfig::default()
+        };
+        let search = |i: usize, threads: usize| {
+            let (q, prof) = synthesize_with_theory_profiled(
+                &graphs[i],
+                &theories[i],
+                &devices,
+                &profile,
+                &ratios,
+                &cfg(threads),
+                None,
+            )
+            .unwrap();
+            (q.fingerprint(), q.estimated_time.to_bits(), prof)
+        };
+        let alone = [search(0, 1), search(1, 1)];
+        assert!(alone.iter().all(|(_, _, prof)| prof.waves > 1), "every search runs waves");
+        let start = std::sync::Barrier::new(2);
+        let together = std::thread::scope(|s| {
+            let handles = [0, 1].map(|i| {
+                let (start, search) = (&start, &search);
+                s.spawn(move || {
+                    start.wait();
+                    search(i, 2)
+                })
+            });
+            handles.map(|h| h.join().unwrap())
+        });
+        assert_eq!(together, alone);
     }
 
     /// Up to `max` states reachable from the root by breadth-first search,

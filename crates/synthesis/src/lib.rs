@@ -15,19 +15,21 @@
 //! 3. the three search-time optimizations of Sec. 4.5 keep the search
 //!    tractable: empty-precondition triple fusion, at-most-one communication
 //!    per reference tensor, and redundant-property removal;
-//! 4. the search itself runs in parallel waves across a scoped thread pool
-//!    ([`SynthConfig::threads`]), with results guaranteed bit-for-bit
-//!    identical for every thread count: each wave's candidates are merged
-//!    in a stable `(score, cost, program fingerprint)` order before any
-//!    state commits to the dominance map, incumbent, or frontier;
+//! 4. the search itself runs in parallel waves across its own crew of
+//!    worker threads ([`SynthConfig::threads`], at most one per core),
+//!    started on its first wave and parked between waves, with results
+//!    guaranteed bit-for-bit identical for every thread count: each wave's
+//!    candidates are merged in a stable `(score, cost, program fingerprint)`
+//!    order before any state commits to the dominance map, incumbent, or
+//!    frontier;
 //! 5. the search's bookkeeping is flat: the theory indexes its triples by
 //!    their first precondition, so a state visits only the triples that
 //!    can apply to it; every cost is a read from dense precomputed
 //!    [`CostTables`]; property sets are fixed-width bitsets over the
 //!    theory's property numbering, interned in one arena with dense ids
-//!    that key a `Vec` dominance table; successors are built into reused
-//!    buffers, so a wave allocates per expanded state, not per successor;
-//!    and the alternating Q/B loop can seed each round's incumbent with the
+//!    that key a `Vec` dominance table; each wave position owns its
+//!    expansion buffers for the whole search, so waves reuse them instead of
+//!    allocating per expanded state; and the alternating Q/B loop can seed each round's incumbent with the
 //!    previous round's program ([`synthesize_with_theory_warm`]).
 //!
 //! # Examples
