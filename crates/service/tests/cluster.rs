@@ -25,7 +25,9 @@
 use std::collections::HashMap;
 
 use hap_service::testing::{self, hot_hit_rate, hot_request, ReplyBits, StressCluster, StressOp};
-use hap_service::{Client, ClusterClient, RetryPolicy, StatsSnapshot};
+use hap_service::{
+    Client, ClusterClient, RetryPolicy, Ring, RingInfo, Server, ServiceConfig, StatsSnapshot,
+};
 
 const HOT_N: usize = 6;
 const FLOOD_N: usize = 8;
@@ -305,4 +307,90 @@ fn cluster_soak_survives_owner_kill_and_rejoin() {
         back.hits + back.synthesized + back.replicated_in + back.proxied > 0,
         "the rejoined daemon never served or stored anything: {back:?}"
     );
+}
+
+/// The cold bits for hot request `i` replanned with `replan_delta(i)`.
+fn replan_cold_bits(i: usize) -> ReplyBits {
+    let req = hot_request(i);
+    let cluster = testing::replan_delta(i).apply(&req.cluster).unwrap();
+    let plan = hap::parallelize(&req.graph, &cluster, &req.options).unwrap();
+    ReplyBits {
+        program_fp: plan.program.fingerprint(),
+        time_bits: plan.estimated_time.to_bits(),
+        ratio_bits: plan
+            .ratios
+            .iter()
+            .map(|row| row.iter().map(|b| b.to_bits()).collect())
+            .collect(),
+    }
+}
+
+/// Every proxy branch a ring-naive client can reach: a plan and a replan
+/// whose owner is dead fall back to local resolution, an unknown prior
+/// owned by a dead member fails typed, and a replan sent to a live
+/// non-owner is answered by the owner through the proxy.
+#[test]
+fn proxy_paths_fall_back_locally_and_relay_the_owner() {
+    // A dead member: a loopback port that was bound and then closed.
+    let dead = {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.local_addr().unwrap().to_string()
+    };
+    let server = Server::start(ServiceConfig::default()).unwrap();
+    let live = server.addr().to_string();
+    let info = RingInfo {
+        epoch: 1,
+        vnodes: ServiceConfig::default().ring_vnodes,
+        replication: 1,
+        members: vec![live.clone(), dead.clone()],
+    };
+    let mut client = Client::connect(&*live).unwrap();
+    assert!(client.install_ring(&info, &live).unwrap());
+    let ring = Ring::build(info);
+    let mut dead_owned =
+        (0..64).filter(|&i| ring.primary(hot_request(i).fingerprint()) == Some(&*dead));
+    let (i, j) = (dead_owned.next().unwrap(), dead_owned.next().unwrap());
+
+    // (a) The primary is dead: the plan synthesizes locally.
+    let req = hot_request(i);
+    let reply = client.plan(&req.graph, &req.cluster, &req.options).unwrap();
+    assert_eq!(reply.source, "synthesized");
+    assert_eq!(ReplyBits::of(&reply), cold_bits(i), "fallback plan differs from in-process");
+    let stats = server.service().stats();
+    assert_eq!((stats.proxied, stats.errors), (1, 0), "{stats:?}");
+
+    // (b) A replan of that plan: the prior is known here and its owner is
+    // dead, so the rebase runs locally, warm-seeded by the prior.
+    let replanned = client.replan(reply.fingerprint, &testing::replan_delta(i)).unwrap();
+    assert_eq!(replanned.plan.source, "synthesized");
+    assert_eq!(replanned.diff.prior_fingerprint, reply.fingerprint);
+    assert_eq!(ReplyBits::of(&replanned.plan), replan_cold_bits(i));
+    let stats = server.service().stats();
+    assert_eq!((stats.replanned, stats.warm_seeded, stats.proxied), (1, 1, 2), "{stats:?}");
+    assert_eq!(stats.errors, 0, "{stats:?}");
+
+    // (c) An unknown prior owned by the dead member: nobody can rebase it.
+    let err = client.replan(hot_request(j).fingerprint(), &testing::replan_delta(j)).unwrap_err();
+    assert_eq!(err.kind, "unknown_fingerprint", "{err}");
+    let stats = server.service().stats();
+    assert_eq!((stats.errors, stats.proxied), (1, 3), "{stats:?}");
+
+    // (d) A live ring: a ring-naive replan at the non-owner is relayed to
+    // the owner, which holds the prior and runs the rebase.
+    let cluster = StressCluster::start(2, 1, |_, _| {});
+    let k = 0;
+    let req = hot_request(k);
+    let fp = req.fingerprint();
+    let owner = cluster.primary_index(fp);
+    let other = 1 - owner;
+    let mut direct = Client::connect(cluster.addr(owner)).unwrap();
+    direct.plan(&req.graph, &req.cluster, &req.options).unwrap();
+    let mut naive = Client::connect(cluster.addr(other)).unwrap();
+    let relayed = naive.replan(fp, &testing::replan_delta(k)).unwrap();
+    assert_eq!(relayed.plan.source, "synthesized");
+    assert_eq!(relayed.diff.prior_fingerprint, fp);
+    assert_eq!(ReplyBits::of(&relayed.plan), replan_cold_bits(k));
+    let (at_other, at_owner) = (cluster.service(other).stats(), cluster.service(owner).stats());
+    assert_eq!((at_other.proxied, at_other.replanned, at_other.errors), (1, 0, 0), "{at_other:?}");
+    assert_eq!((at_owner.replanned, at_owner.synthesized), (1, 2), "{at_owner:?}");
 }
