@@ -248,6 +248,9 @@ fn main() -> ExitCode {
                         return;
                     }
                 };
+                client.set_ttl_ms(ttl_ms);
+                client.set_stream(stream);
+                client.set_retry(Some(retry));
                 for (i, model) in work.iter().enumerate() {
                     if i % concurrency != worker {
                         continue;
@@ -258,8 +261,7 @@ fn main() -> ExitCode {
                         return;
                     };
                     let t0 = std::time::Instant::now();
-                    match client.plan_with_retry_opts(&graph, cluster, opts, ttl_ms, stream, &retry)
-                    {
+                    match client.plan(&graph, cluster, opts) {
                         Ok(reply) => {
                             println!(
                                 "hap-client: {model} -> {} plan 0x{:016x} est {:.6}s in {:?} \

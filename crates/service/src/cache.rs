@@ -45,11 +45,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hap_cluster::{ClusterSpec, Granularity};
 pub use hap_codec::CachedPlan;
 use hap_codec::{parse_persist_line_full, persist_line_with_req, CodecError, Value};
+use hap_telemetry::Clock;
 
 use crate::config::FsyncPolicy;
 use crate::faults::{self, Fault};
@@ -123,24 +124,6 @@ pub enum Admission {
     },
 }
 
-/// The cache's time source. Production uses a monotonic clock; tests
-/// inject a manually advanced one so TTL expiry is exact and
-/// deterministic.
-#[derive(Clone)]
-enum Clock {
-    Monotonic(Instant),
-    Manual(Arc<AtomicU64>),
-}
-
-impl Clock {
-    fn now_nanos(&self) -> u64 {
-        match self {
-            Clock::Monotonic(epoch) => epoch.elapsed().as_nanos() as u64,
-            Clock::Manual(nanos) => nanos.load(Ordering::SeqCst),
-        }
-    }
-}
-
 struct Entry {
     plan: Arc<CachedPlan>,
     last_used: u64,
@@ -166,6 +149,9 @@ pub struct PlanCache {
     /// Per-shard entry budget (total capacity / shard count, at least 1).
     per_shard: usize,
     policy: CachePolicy,
+    /// The TTL clock. Production uses its own monotonic clock (never the
+    /// telemetry clock, which tests step); tests inject a manually
+    /// advanced one so TTL expiry is exact and deterministic.
     clock: Clock,
     /// Monotonic use clock driving LRU eviction.
     tick: AtomicU64,
@@ -183,13 +169,13 @@ impl PlanCache {
 
     /// Creates a cache with an explicit policy.
     pub fn with_policy(capacity: usize, policy: CachePolicy) -> Self {
-        PlanCache::build(capacity, policy, Clock::Monotonic(Instant::now()))
+        PlanCache::build(capacity, policy, Clock::monotonic())
     }
 
     /// Creates a cache whose clock is the given shared nanosecond counter,
     /// advanced manually — deterministic TTL expiry for tests.
     pub fn with_manual_clock(capacity: usize, policy: CachePolicy, nanos: Arc<AtomicU64>) -> Self {
-        PlanCache::build(capacity, policy, Clock::Manual(nanos))
+        PlanCache::build(capacity, policy, Clock::manual(nanos))
     }
 
     fn build(capacity: usize, policy: CachePolicy, clock: Clock) -> Self {

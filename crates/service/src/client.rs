@@ -48,7 +48,8 @@ pub struct ReplanReply {
     pub diff: PlanDiff,
 }
 
-/// How [`Client::plan_with_retry`] behaves when the daemon sheds load.
+/// How a [`Client`] given a policy ([`Client::set_retry`]) rides out a
+/// daemon that sheds load or drops the connection.
 ///
 /// On a `busy` frame the client sleeps and retries: the delay starts at
 /// the frame's `retry_after_ms` hint when present (the daemon knows its
@@ -111,16 +112,15 @@ impl RetryPolicy {
 
 /// One connection to a `hap-serve` daemon.
 pub struct Client {
-    /// The daemon's resolved address, kept so the retrying request paths
-    /// can reconnect after a dropped connection.
+    /// The daemon's resolved address, kept so a retrying request can
+    /// reconnect after a dropped connection.
     addr: std::net::SocketAddr,
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     next_id: u64,
-    /// Busy frames absorbed by `plan_with_retry` so far.
+    /// Busy frames retried through so far.
     busy_retries: u64,
-    /// Connection drops `plan_with_retry`/`replan_with_retry` have
-    /// reconnected through so far.
+    /// Connection drops reconnected through so far.
     io_retries: u64,
     /// Stream chunk frames reassembled so far.
     stream_chunks: u64,
@@ -129,6 +129,14 @@ pub struct Client {
     /// at a different epoch than the daemon's own, the daemon answers
     /// with a `not_owner` redirect instead of proxying.
     ring_epoch: Option<u64>,
+    /// The cache TTL asked for on plan/replan requests (`None` = the
+    /// daemon's default).
+    ttl_ms: Option<u64>,
+    /// Whether plan/replan requests ask for chunked streaming responses.
+    stream: bool,
+    /// How plan/replan ride out busy frames and dropped connections
+    /// (`None` = one attempt, every error returned as-is).
+    retry: Option<RetryPolicy>,
 }
 
 impl Client {
@@ -149,6 +157,9 @@ impl Client {
             io_retries: 0,
             stream_chunks: 0,
             ring_epoch: None,
+            ttl_ms: None,
+            stream: false,
+            retry: None,
         })
     }
 
@@ -157,6 +168,27 @@ impl Client {
     /// leave requests unstamped.
     pub fn set_ring_epoch(&mut self, epoch: Option<u64>) {
         self.ring_epoch = epoch;
+    }
+
+    /// Sets (or clears) the cache TTL asked for on plan/replan requests:
+    /// the daemon expires a plan it caches for this client `ttl_ms`
+    /// milliseconds after caching it.
+    pub fn set_ttl_ms(&mut self, ttl_ms: Option<u64>) {
+        self.ttl_ms = ttl_ms;
+    }
+
+    /// Asks for plan/replan responses over the chunked streaming
+    /// transport: the daemon sends a plan as chunk frames, reassembled
+    /// here. The reassembled reply is byte-identical to the unstreamed
+    /// response — streaming only changes the framing, never the payload.
+    pub fn set_stream(&mut self, stream: bool) {
+        self.stream = stream;
+    }
+
+    /// Sets (or clears) the policy plan/replan use to retry `busy` frames
+    /// and dropped connections.
+    pub fn set_retry(&mut self, retry: Option<RetryPolicy>) {
+        self.retry = retry;
     }
 
     /// Replaces a dead connection with a fresh one to the same daemon.
@@ -175,8 +207,8 @@ impl Client {
         self.busy_retries
     }
 
-    /// Connection drops the retrying request paths have reconnected
-    /// through (observability: proves a retry actually resent over a new
+    /// Connection drops retrying requests have reconnected through
+    /// (observability: proves a retry actually resent over a new
     /// connection).
     pub fn io_retries(&self) -> u64 {
         self.io_retries
@@ -247,58 +279,51 @@ impl Client {
         Ok(v)
     }
 
-    /// Requests a plan for `(graph, cluster, options)`.
+    /// Requests a plan for `(graph, cluster, options)`, with the held
+    /// TTL, streaming and retry settings.
     pub fn plan(
         &mut self,
         graph: &Graph,
         cluster: &ClusterSpec,
         options: &HapOptions,
     ) -> Result<PlanReply, WireError> {
-        self.plan_with_ttl(graph, cluster, options, None)
-    }
-
-    /// [`Client::plan`] with a cache TTL request: the daemon expires the
-    /// synthesized plan `ttl_ms` milliseconds after caching it.
-    pub fn plan_with_ttl(
-        &mut self,
-        graph: &Graph,
-        cluster: &ClusterSpec,
-        options: &HapOptions,
-        ttl_ms: Option<u64>,
-    ) -> Result<PlanReply, WireError> {
-        self.plan_opts(graph, cluster, options, ttl_ms, false)
-    }
-
-    /// [`Client::plan`] over the chunked streaming transport: the request
-    /// advertises `"stream": true` and the daemon sends the plan response
-    /// as chunk frames, reassembled here. The reassembled reply is
-    /// byte-identical to the unstreamed response — streaming only changes
-    /// the framing, never the payload.
-    pub fn plan_streamed(
-        &mut self,
-        graph: &Graph,
-        cluster: &ClusterSpec,
-        options: &HapOptions,
-    ) -> Result<PlanReply, WireError> {
-        self.plan_opts(graph, cluster, options, None, true)
-    }
-
-    /// The general plan request: optional cache TTL, optional streaming.
-    pub fn plan_opts(
-        &mut self,
-        graph: &Graph,
-        cluster: &ClusterSpec,
-        options: &HapOptions,
-        ttl_ms: Option<u64>,
-        stream: bool,
-    ) -> Result<PlanReply, WireError> {
-        let mut fields = vec![
+        let v = self.request(vec![
             ("op", Value::Str("plan".into())),
             ("graph", graph.encode()),
             ("cluster", cluster.encode()),
             ("options", options.encode()),
-        ];
-        if let Some(ms) = ttl_ms {
+        ])?;
+        decode_plan_reply(&v)
+    }
+
+    /// Re-plans a previously planned request after a cluster change: the
+    /// daemon applies `delta` to the prior request's cluster, seeds the
+    /// synthesis with the prior plan, and returns the post-delta plan plus
+    /// a diff. A typed `unknown_fingerprint` error means the daemon no
+    /// longer holds the prior (expired, evicted, or restarted) — fall back
+    /// to [`Client::plan`]. Uses the same held settings as `plan`.
+    pub fn replan(&mut self, prior: u64, delta: &ClusterDelta) -> Result<ReplanReply, WireError> {
+        let v = self.request(vec![
+            ("op", Value::Str("replan".into())),
+            ("prior", Value::Str(render_fingerprint(prior))),
+            ("delta", delta.encode()),
+        ])?;
+        let plan = decode_plan_reply(&v)?;
+        let diff = PlanDiff::decode(v.field("replan").map_err(WireError::from)?)
+            .map_err(WireError::from)?;
+        Ok(ReplanReply { plan, diff })
+    }
+
+    /// Sends a plan-bearing request with the held optional fields. With a
+    /// retry policy held, `busy` frames are retried with exponential
+    /// backoff honoring the daemon's `retry_after_ms` hint (see
+    /// [`RetryPolicy`]), and a connection reset or EOF mid-response
+    /// reconnects and resends (plans are pure and idempotent, so a resend
+    /// is always safe — at worst it becomes a cache hit). Any other error
+    /// — and busy or I/O failures persisting past `max_attempts` — is
+    /// returned as-is.
+    fn request(&mut self, mut fields: Vec<(&str, Value)>) -> Result<Value, WireError> {
+        if let Some(ms) = self.ttl_ms {
             // Fail cleanly instead of hitting the codec's exact-integer
             // assert (the daemon would reject it anyway).
             if ms > crate::config::MAX_TTL_MS {
@@ -309,73 +334,16 @@ impl Client {
             }
             fields.push(("ttl_ms", Value::int(ms)));
         }
-        if stream {
+        if self.stream {
             fields.push(("stream", Value::Bool(true)));
         }
         if let Some(epoch) = self.ring_epoch {
             fields.push(("epoch", Value::int(epoch)));
         }
-        let v = self.round_trip(fields)?;
-        decode_plan_reply(&v)
-    }
-
-    /// Re-plans a previously planned request after a cluster change: the
-    /// daemon applies `delta` to the prior request's cluster, seeds the
-    /// synthesis with the prior plan, and returns the post-delta plan plus
-    /// a diff. A typed `unknown_fingerprint` error means the daemon no
-    /// longer holds the prior (expired, evicted, or restarted) — fall back
-    /// to [`Client::plan`].
-    pub fn replan(&mut self, prior: u64, delta: &ClusterDelta) -> Result<ReplanReply, WireError> {
-        self.replan_opts(prior, delta, None, false)
-    }
-
-    /// The general replan request: optional cache TTL, optional streaming.
-    pub fn replan_opts(
-        &mut self,
-        prior: u64,
-        delta: &ClusterDelta,
-        ttl_ms: Option<u64>,
-        stream: bool,
-    ) -> Result<ReplanReply, WireError> {
-        let mut fields = vec![
-            ("op", Value::Str("replan".into())),
-            ("prior", Value::Str(render_fingerprint(prior))),
-            ("delta", delta.encode()),
-        ];
-        if let Some(ms) = ttl_ms {
-            if ms > crate::config::MAX_TTL_MS {
-                return Err(WireError::new(
-                    "decode",
-                    format!("ttl_ms {ms} exceeds the maximum {}", crate::config::MAX_TTL_MS),
-                ));
-            }
-            fields.push(("ttl_ms", Value::int(ms)));
-        }
-        if stream {
-            fields.push(("stream", Value::Bool(true)));
-        }
-        if let Some(epoch) = self.ring_epoch {
-            fields.push(("epoch", Value::int(epoch)));
-        }
-        let v = self.round_trip(fields)?;
-        let plan = decode_plan_reply(&v)?;
-        let diff = PlanDiff::decode(v.field("replan").map_err(WireError::from)?)
-            .map_err(WireError::from)?;
-        Ok(ReplanReply { plan, diff })
-    }
-
-    /// [`Client::replan`] that rides out daemon overload and connection
-    /// drops exactly like [`Client::plan_with_retry`].
-    pub fn replan_with_retry(
-        &mut self,
-        prior: u64,
-        delta: &ClusterDelta,
-        ttl_ms: Option<u64>,
-        policy: &RetryPolicy,
-    ) -> Result<ReplanReply, WireError> {
+        let Some(policy) = self.retry else { return self.round_trip(fields) };
         let mut attempt = 0u32;
         loop {
-            match self.replan_opts(prior, delta, ttl_ms, false) {
+            match self.round_trip(fields.clone()) {
                 Err(e) if e.is_busy() && attempt + 1 < policy.max_attempts => {
                     let delay = policy.delay_ms(attempt, e.retry_after_ms);
                     self.busy_retries += 1;
@@ -383,72 +351,15 @@ impl Client {
                     std::thread::sleep(std::time::Duration::from_millis(delay));
                 }
                 Err(e) if e.kind == "io" && attempt + 1 < policy.max_attempts => {
-                    self.retry_io(&e, &mut attempt, policy)?;
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// Shared connection-drop recovery for the retrying request paths:
-    /// reconnect (with backoff between failed reconnects) and let the
-    /// caller resend. Safe because plan/replan are pure functions of the
-    /// request — a resend either hits the cache (the daemon finished the
-    /// first attempt after the drop) or synthesizes the identical plan.
-    fn retry_io(
-        &mut self,
-        err: &WireError,
-        attempt: &mut u32,
-        policy: &RetryPolicy,
-    ) -> Result<(), WireError> {
-        self.io_retries += 1;
-        let delay = policy.delay_ms(*attempt, None);
-        *attempt += 1;
-        std::thread::sleep(std::time::Duration::from_millis(delay));
-        self.reconnect()
-            .map_err(|re| WireError::new("io", format!("{}; reconnect failed: {re}", err.message)))
-    }
-
-    /// [`Client::plan`] that rides out daemon overload and connection
-    /// drops: `busy` frames are retried with exponential backoff honoring
-    /// the daemon's `retry_after_ms` hint (see [`RetryPolicy`]), and a
-    /// connection reset or EOF mid-response reconnects and resends (plans
-    /// are pure and idempotent, so a resend is always safe — at worst it
-    /// becomes a cache hit). Any other error — and busy or I/O failures
-    /// persisting past `max_attempts` — is returned as-is.
-    pub fn plan_with_retry(
-        &mut self,
-        graph: &Graph,
-        cluster: &ClusterSpec,
-        options: &HapOptions,
-        ttl_ms: Option<u64>,
-        policy: &RetryPolicy,
-    ) -> Result<PlanReply, WireError> {
-        self.plan_with_retry_opts(graph, cluster, options, ttl_ms, false, policy)
-    }
-
-    /// [`Client::plan_with_retry`] with an optional streaming transport
-    /// (busy frames are never streamed, so retry handling is unchanged).
-    pub fn plan_with_retry_opts(
-        &mut self,
-        graph: &Graph,
-        cluster: &ClusterSpec,
-        options: &HapOptions,
-        ttl_ms: Option<u64>,
-        stream: bool,
-        policy: &RetryPolicy,
-    ) -> Result<PlanReply, WireError> {
-        let mut attempt = 0u32;
-        loop {
-            match self.plan_opts(graph, cluster, options, ttl_ms, stream) {
-                Err(e) if e.is_busy() && attempt + 1 < policy.max_attempts => {
-                    let delay = policy.delay_ms(attempt, e.retry_after_ms);
-                    self.busy_retries += 1;
+                    // Reconnect (with backoff between failed reconnects)
+                    // and resend.
+                    self.io_retries += 1;
+                    let delay = policy.delay_ms(attempt, None);
                     attempt += 1;
                     std::thread::sleep(std::time::Duration::from_millis(delay));
-                }
-                Err(e) if e.kind == "io" && attempt + 1 < policy.max_attempts => {
-                    self.retry_io(&e, &mut attempt, policy)?;
+                    self.reconnect().map_err(|re| {
+                        WireError::new("io", format!("{}; reconnect failed: {re}", e.message))
+                    })?;
                 }
                 other => return other,
             }

@@ -1,18 +1,14 @@
 //! The synthesis dispatcher: the job queue, single-flight slots, and the
 //! fixed worker pool — fully decoupled from any transport.
 //!
-//! A slot is the rendezvous for one in-flight synthesis. Two kinds of
-//! consumers attach to it:
-//!
-//! * **Synchronous waiters** (`PlanService::plan_values*`, benches,
-//!   in-process tests) park on the slot's condvar exactly as before.
-//! * **Subscribers** (the event loop) register a callback and return to
-//!   their poll loop immediately; when a worker finishes the job it runs
-//!   every subscriber with the result. Subscribers render their own
-//!   response bytes and hand them to the loop through its completion
-//!   queue + waker — no I/O thread ever blocks on a synthesis, and a
-//!   single-flight follower subscribes to the leader's slot instead of
-//!   parking a thread.
+//! A slot is the rendezvous for one in-flight synthesis. Every request
+//! that attaches to it — the leader that queued the job and each
+//! single-flight follower — subscribes a callback and returns at once;
+//! when a worker finishes the job it runs every subscriber with the
+//! result. Subscribers render their own response bytes and hand them to
+//! whoever waits: the event loop's completion queue + waker, or the
+//! channel a blocking `PlanService::handle_line` caller receives on. No
+//! I/O thread ever blocks on a synthesis.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
@@ -55,40 +51,27 @@ pub(crate) struct SlotState {
     resolved_nanos: u64,
 }
 
-pub(crate) type Slot = Arc<(Mutex<SlotState>, Condvar)>;
+pub(crate) type Slot = Arc<Mutex<SlotState>>;
 
 fn new_slot(queued_nanos: u64) -> Slot {
-    Arc::new((
-        Mutex::new(SlotState {
-            result: None,
-            subscribers: Vec::new(),
-            queued_nanos,
-            started_nanos: 0,
-            resolved_nanos: 0,
-        }),
-        Condvar::new(),
-    ))
+    Arc::new(Mutex::new(SlotState {
+        result: None,
+        subscribers: Vec::new(),
+        queued_nanos,
+        started_nanos: 0,
+        resolved_nanos: 0,
+    }))
 }
 
 /// Stamps the moment a worker picked the job up.
 fn mark_started(slot: &Slot, now: u64) {
-    lock_recover(&slot.0).started_nanos = now;
+    lock_recover(slot).started_nanos = now;
 }
 
 /// The slot's telemetry marks: `(queued, started, resolved)`.
 pub(crate) fn slot_marks(slot: &Slot) -> (u64, u64, u64) {
-    let state = lock_recover(&slot.0);
+    let state = lock_recover(slot);
     (state.queued_nanos, state.started_nanos, state.resolved_nanos)
-}
-
-/// Blocks until the slot resolves (the synchronous consumer path).
-pub(crate) fn wait_sync(slot: &Slot) -> PlanResult {
-    let (lock, cvar) = &**slot;
-    let mut state = lock_recover(lock);
-    while state.result.is_none() {
-        state = wait_recover(cvar, state);
-    }
-    state.result.clone().expect("loop exits with a result")
 }
 
 /// Attaches a deferred consumer. If the slot already resolved the callback
@@ -96,8 +79,7 @@ pub(crate) fn wait_sync(slot: &Slot) -> PlanResult {
 /// that resolves the slot.
 pub(crate) fn subscribe(slot: &Slot, f: Subscriber) {
     let already_resolved = {
-        let (lock, _) = &**slot;
-        let mut state = lock_recover(lock);
+        let mut state = lock_recover(slot);
         match state.result.clone() {
             Some(result) => Some((f, result)),
             None => {
@@ -174,9 +156,8 @@ pub(crate) enum Attach {
     Resolved(crate::service::PlanSource, PlanResult),
 }
 
-/// The single-flight core shared by the sync and async request paths:
-/// cache re-probe under leadership, queue-depth shedding, job submission.
-/// Counters are bumped exactly as the pre-split server did.
+/// The single-flight core: cache re-probe under leadership, queue-depth
+/// shedding, job submission.
 pub(crate) fn attach(
     shared: &Shared,
     fp: u64,
@@ -381,21 +362,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// Retires the in-flight entry, publishes a result to the slot's waiters,
-/// and runs the subscribers. Retiring *first* means that by the time any
-/// waiter observes its reply the `in_flight` gauge has already dropped,
-/// so stats never report a completed request as still in flight.
-/// Subscribers run outside the slot lock (they take the event loop's
-/// completion-queue lock).
+/// Retires the in-flight entry, publishes a result to the slot, and runs
+/// the subscribers. Retiring *first* means that by the time any
+/// subscriber renders its reply the `in_flight` gauge has already
+/// dropped, so stats never report a completed request as still in
+/// flight. Subscribers run outside the slot lock (they take the event
+/// loop's completion-queue lock).
 pub(crate) fn finish(shared: &Shared, fp: u64, slot: &Slot, result: PlanResult) {
     lock_recover(&shared.inflight).remove(&fp);
     let resolved = shared.telemetry.now();
     let subscribers = {
-        let (lock, cvar) = &**slot;
-        let mut state = lock_recover(lock);
+        let mut state = lock_recover(slot);
         state.resolved_nanos = resolved;
         state.result = Some(result.clone());
-        cvar.notify_all();
         std::mem::take(&mut state.subscribers)
     };
     for subscriber in subscribers {
@@ -447,9 +426,9 @@ fn synthesize_job(
         features,
         synthesis_nanos: started.elapsed().as_nanos() as u64,
         size_bytes: 0,
-        // The wire layer already rejects ttl_ms > MAX_TTL_MS; the clamp
-        // covers in-process callers of `plan_values_with_ttl` so an
-        // oversized TTL can never reach the (2^53-exact) record encoder.
+        // The request parser already rejects ttl_ms > MAX_TTL_MS; the
+        // clamp keeps the bound here too, so no job can ever hand the
+        // (2^53-exact) record encoder an oversized TTL.
         ttl_nanos: job.ttl_ms.map(|ms| ms.min(MAX_TTL_MS).saturating_mul(1_000_000)),
     };
     cached.size_bytes = cached.measure_size();

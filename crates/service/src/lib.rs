@@ -80,9 +80,9 @@
 //!   served, never seed warm starts, and drop out at compaction.
 //! * **Queue-depth admission control** — a bounded synthesis backlog
 //!   sheds new distinct requests with a typed `busy` frame carrying
-//!   `retry_after_ms`; duplicates still coalesce (they add no load).
-//!   [`Client::plan_with_retry`] backs off exponentially, honoring the
-//!   hint.
+//!   `retry_after_ms`; duplicates still coalesce (they add no load). A
+//!   [`Client`] given a [`RetryPolicy`] ([`Client::set_retry`]) backs
+//!   off exponentially, honoring the hint.
 //! * **Crash-safe disk persistence** — a WAL-style append-only log of
 //!   checksummed cache records (`{"v":3,"sum":...}`; v2 and PR-4-era
 //!   unversioned lines still load, migrating at compaction), compacted
@@ -234,7 +234,7 @@ pub use hap_codec::{PlanDiff, RingInfo};
 pub use hap_telemetry::{Clock, Histogram, Outcome, RequestTrace, Span, SpanKind, Verb};
 pub use net::event_loop::Server;
 pub use ring::Ring;
-pub use service::{PlanService, PlanSource};
+pub use service::PlanService;
 pub use stats::StatsSnapshot;
 pub use telemetry::{
     decode_trace, encode_trace, render_prometheus, MetricsSeries, MetricsSnapshot,

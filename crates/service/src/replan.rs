@@ -29,6 +29,7 @@ use crate::cache::CachedPlan;
 use crate::dispatch::Shared;
 
 /// The remembered request behind a fingerprint.
+#[derive(Clone)]
 pub(crate) struct RequestTriple {
     pub graph: Value,
     pub cluster: Value,

@@ -1,7 +1,10 @@
 //! The daemon's request brain, independent of any transport: feed it a
-//! request line, get response bytes. The TCP event loop, the benches, and
-//! the in-process tests all go through [`PlanService`].
+//! request line, get response bytes. Every request — from the TCP event
+//! loop, the benches, or the in-process tests — goes through
+//! [`PlanService::submit`]; [`PlanService::handle_line`] is a blocking
+//! adapter over it.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
@@ -21,7 +24,7 @@ use crate::cache::{load_cache_with_requests, CachePolicy, CachedPlan, PersistLog
 use crate::config::{ServiceConfig, MAX_TTL_MS};
 use crate::dispatch::{self, Attach, PlanResult, QueueState, Shared, Slot};
 use crate::peer::ClusterState;
-use crate::replan::{self, ReplanIndex, RequestTriple};
+use crate::replan::{self, PreparedReplan, ReplanIndex, RequestTriple};
 use crate::stats::{Counters, NetGauges, StatsSnapshot};
 use crate::sync::lock_recover;
 use crate::telemetry::{
@@ -37,7 +40,7 @@ pub(crate) type Deliver = Box<dyn FnOnce(Vec<u8>, Option<PendingTrace>) + Send>;
 
 /// How a plan response was produced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PlanSource {
+pub(crate) enum PlanSource {
     /// Answered from the cache.
     Cache,
     /// This request ran the synthesis.
@@ -61,14 +64,19 @@ pub(crate) enum Submission {
     /// The response is complete: one or more newline-terminated frames,
     /// plus the request's trace for the transport to seal at flush time.
     Ready { bytes: Vec<u8>, shutdown: bool, trace: Option<PendingTrace> },
-    /// A synthesis is in flight; the `deliver` callback will produce the
-    /// bytes (and the trace) on a worker thread when it resolves.
+    /// A synthesis or a proxy hop is in flight; the `deliver` callback
+    /// will produce the bytes (and the trace) on another thread.
     Pending,
 }
 
 /// Packages a trace builder with its outcome for the transport to seal.
 fn seal(tb: Option<TraceBuilder>, outcome: Outcome) -> Option<PendingTrace> {
     tb.map(|builder| PendingTrace { builder, outcome })
+}
+
+/// A complete answer to a request that does not shut the daemon down.
+fn ready(bytes: Vec<u8>, tb: Option<TraceBuilder>, outcome: Outcome) -> Submission {
+    Submission::Ready { bytes, shutdown: false, trace: seal(tb, outcome) }
 }
 
 /// Runs `f` under an `encode` span.
@@ -83,10 +91,22 @@ fn encode_span<T>(tb: &mut Option<TraceBuilder>, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Everything a successful replan resolves to: where the plan came from,
-/// the rebased fingerprint, the plan itself, the instruction-level diff
-/// against the prior plan, and (when requested) the synthesis profile.
-type ReplanValues = (PlanSource, u64, Arc<CachedPlan>, PlanDiff, Option<Arc<SynthProfile>>);
+/// Renders a verb's frame under an `encode` span as a `Ready` answer.
+fn verb_ready(
+    tb: Option<TraceBuilder>,
+    shutdown: bool,
+    frame: impl FnOnce() -> Value,
+) -> Submission {
+    let mut tb = tb;
+    let bytes = encode_span(&mut tb, || frame_bytes(&frame()));
+    Submission::Ready { bytes, shutdown, trace: seal(tb, Outcome::Ok) }
+}
+
+/// Counts an error frame and renders it.
+fn error_bytes(shared: &Shared, id: u64, err: &WireError) -> Vec<u8> {
+    shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+    frame_bytes(&error_frame(id, err))
+}
 
 /// Fetches the recorded synthesis profile for `fp` when anyone wants it:
 /// as the response's `"profile"` field (`want`) and/or folded into the
@@ -126,6 +146,136 @@ fn attach_slot_spans(tb: &mut Option<TraceBuilder>, slot: &Slot) {
         tb.span(SpanKind::Synthesis, started, resolved);
     } else if resolved > 0 {
         tb.span(SpanKind::QueueWait, queued, resolved);
+    }
+}
+
+/// How to answer one plan-bearing request (`plan` or `replan`) once its
+/// plan is known, wherever it was resolved: inline, by a subscribed
+/// renderer, or by a proxy's local fallback.
+struct Answer {
+    id: u64,
+    /// The fingerprint the plan answers (a replan's post-delta one).
+    fp: u64,
+    /// `"profile": true` — include the synthesis profile.
+    want_profile: bool,
+    /// The chunk size when the client asked to stream.
+    stream_chunk: Option<usize>,
+    /// A replan's prior fingerprint and plan: the synthesis's warm seed
+    /// and the base of the response's `replan` diff.
+    prior: Option<(u64, Arc<CachedPlan>)>,
+}
+
+impl Answer {
+    /// Renders a plan answer; a replan also counts as `replanned`.
+    /// `synthesized` says the request waited on the synthesis, so its
+    /// profile is folded into the trace.
+    fn plan(
+        &self,
+        shared: &Shared,
+        source: PlanSource,
+        plan: &CachedPlan,
+        synthesized: bool,
+        tb: &mut Option<TraceBuilder>,
+    ) -> (Vec<u8>, Outcome) {
+        if self.prior.is_some() {
+            shared.counters.replanned.fetch_add(1, Ordering::Relaxed);
+        }
+        let profile = profile_for(shared, self.fp, self.want_profile, synthesized, tb);
+        let diff = self.prior.as_ref().map(|(fp, prior)| replan_diff(*fp, prior, plan));
+        let bytes = encode_span(tb, || {
+            plan_bytes(
+                self.id,
+                self.fp,
+                source,
+                plan,
+                diff.as_ref(),
+                profile.as_deref(),
+                self.stream_chunk,
+            )
+        });
+        let outcome =
+            if self.prior.is_some() { Outcome::Replan } else { outcome_for_source(source) };
+        (bytes, outcome)
+    }
+
+    /// Renders a single-flight result: the plan, or a counted error frame.
+    fn result(
+        &self,
+        shared: &Shared,
+        source: PlanSource,
+        result: &PlanResult,
+        synthesized: bool,
+        tb: &mut Option<TraceBuilder>,
+    ) -> (Vec<u8>, Outcome) {
+        match result {
+            Ok(plan) => self.plan(shared, source, plan, synthesized, tb),
+            Err(err) => {
+                (encode_span(tb, || error_bytes(shared, self.id, err)), outcome_for_error(err))
+            }
+        }
+    }
+}
+
+/// The one way a missed plan-bearing request is resolved locally: attach
+/// to single-flight dispatch (which re-probes the cache under leadership
+/// and may shed), render an outcome known at once as `Ready`, and
+/// otherwise subscribe one renderer that hands the bytes to `deliver`
+/// when the synthesis resolves. A replan's prior plan (`answer.prior`)
+/// seeds the synthesis warm. On `Ready`, `deliver` comes back unused for
+/// callers that must still send the answer themselves.
+fn resolve(
+    shared: &Arc<Shared>,
+    answer: Answer,
+    triple: &RequestTriple,
+    ttl_ms: Option<u64>,
+    mut tb: Option<TraceBuilder>,
+    deliver: Deliver,
+) -> (Submission, Option<Deliver>) {
+    let warm = answer.prior.as_ref().map(|(_, plan)| plan.clone());
+    let (slot, source) = match dispatch::attach(
+        shared,
+        answer.fp,
+        &triple.graph,
+        &triple.cluster,
+        &triple.options,
+        ttl_ms,
+        warm,
+    ) {
+        Attach::Resolved(source, result) => {
+            let (bytes, outcome) = answer.result(shared, source, &result, false, &mut tb);
+            return (ready(bytes, tb, outcome), Some(deliver));
+        }
+        Attach::Leader(slot) => (slot, PlanSource::Synthesized),
+        Attach::Follower(slot) => (slot, PlanSource::Coalesced),
+    };
+    let sub_shared = shared.clone();
+    let sub_slot = slot.clone();
+    dispatch::subscribe(
+        &slot,
+        Box::new(move |result: &PlanResult| {
+            let mut tb = tb;
+            attach_slot_spans(&mut tb, &sub_slot);
+            let (bytes, outcome) = answer.result(&sub_shared, source, result, true, &mut tb);
+            deliver(bytes, seal(tb, outcome));
+        }),
+    );
+    (Submission::Pending, None)
+}
+
+/// A proxy's local fallback: [`resolve`] on the peer thread, delivering
+/// an inline answer too.
+fn resolve_locally(
+    shared: Arc<Shared>,
+    answer: Answer,
+    triple: impl Borrow<RequestTriple> + Send + 'static,
+    ttl_ms: Option<u64>,
+) -> impl FnOnce(Option<TraceBuilder>, Deliver) + Send + 'static {
+    move |tb, deliver| {
+        if let (Submission::Ready { bytes, trace, .. }, Some(deliver)) =
+            resolve(&shared, answer, triple.borrow(), ttl_ms, tb, deliver)
+        {
+            deliver(bytes, trace);
+        }
     }
 }
 
@@ -235,267 +385,60 @@ impl PlanService {
         self.gauges.clone()
     }
 
-    /// Handles one request line; returns the response line (no trailing
-    /// newline) and whether the request asked the daemon to shut down.
+    /// Handles one request line and blocks until it is answered; returns
+    /// the response (no trailing newline) and whether the request asked
+    /// the daemon to shut down.
     ///
-    /// This is the synchronous path: a cache miss parks the calling
-    /// thread until the synthesis resolves. `"stream": true` is ignored
-    /// here — streaming is transport framing, and this entry point *is*
-    /// the canonical unstreamed encoding. The request's trace is sealed
-    /// here too (there is no later flush to wait for).
+    /// A blocking adapter over [`PlanService::submit`], the path every
+    /// socket request takes, so the response is exactly what a socket
+    /// client reads: for a `"stream": true` plan, the chunk frames and
+    /// the `done` frame, one per line. The request's trace is sealed here
+    /// (there is no later flush to wait for).
     pub fn handle_line(&self, line: &str) -> (String, bool) {
-        let mut tb = self.shared.telemetry.builder();
-        match self.handle_parsed(line, &mut tb) {
-            Ok((response, outcome, shutdown)) => {
-                let rendered = encode_span(&mut tb, || response.render());
-                self.shared.telemetry.finish(tb, outcome);
-                (rendered, shutdown)
-            }
-            Err((id, err)) => {
-                self.shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                let rendered = encode_span(&mut tb, || error_frame(id, &err).render());
-                self.shared.telemetry.finish(tb, outcome_for_error(&err));
-                (rendered, false)
-            }
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        let deliver: Deliver = Box::new(move |bytes, trace| {
+            let _ = tx.send((bytes, trace));
+        });
+        let (bytes, shutdown, trace) =
+            match self.submit(line, self.shared.telemetry.builder(), deliver) {
+                Submission::Ready { bytes, shutdown, trace } => (bytes, shutdown, trace),
+                Submission::Pending => {
+                    // Only a stopping service drops a pending request.
+                    let (bytes, trace) = rx.recv().unwrap_or_else(|_| {
+                        let err = WireError::new("shutdown", "service is shutting down");
+                        (error_bytes(&self.shared, 0, &err), None)
+                    });
+                    (bytes, false, trace)
+                }
+            };
+        if let Some(trace) = trace {
+            self.shared.telemetry.finish_pending(trace);
         }
-    }
-
-    fn handle_parsed(
-        &self,
-        line: &str,
-        tb: &mut Option<TraceBuilder>,
-    ) -> Result<(Value, Outcome, bool), (u64, WireError)> {
-        if let Some(tb) = tb.as_mut() {
-            tb.begin(SpanKind::Decode);
-        }
-        let req = Request::parse(line)?;
-        if let Some(tb) = tb.as_mut() {
-            tb.set_request(req.id, req.op.verb());
-        }
-        match req.op {
-            ReqOp::Plan(plan) => {
-                let (source, fp, result, profile) = self.plan_values_traced(
-                    &plan.graph,
-                    &plan.cluster,
-                    &plan.options,
-                    plan.ttl_ms,
-                    plan.profile,
-                    tb,
-                );
-                let plan_arc = result.map_err(|e| (req.id, e))?;
-                Ok((
-                    plan_frame_with(req.id, fp, source, &plan_arc, None, profile.as_deref()),
-                    outcome_for_source(source),
-                    false,
-                ))
-            }
-            ReqOp::Replan(rp) => {
-                let (source, fp, plan, diff, profile) = self
-                    .replan_values_traced(rp.prior, &rp.delta, rp.ttl_ms, rp.profile, tb)
-                    .map_err(|e| (req.id, e))?;
-                Ok((
-                    plan_frame_with(req.id, fp, source, &plan, Some(&diff), profile.as_deref()),
-                    Outcome::Replan,
-                    false,
-                ))
-            }
-            ReqOp::Stats => Ok((self.stats_frame(req.id), Outcome::Ok, false)),
-            ReqOp::Metrics => Ok((self.metrics_frame(req.id), Outcome::Ok, false)),
-            ReqOp::Trace { n, min_ms } => {
-                Ok((self.trace_frame(req.id, n, min_ms), Outcome::Ok, false))
-            }
-            ReqOp::Ring(install) => Ok((self.ring_frame(req.id, install), Outcome::Ok, false)),
-            ReqOp::Replicate(rep) => Ok((self.replicate_frame(req.id, *rep), Outcome::Ok, false)),
-            ReqOp::Shutdown => Ok((ok_frame(req.id), Outcome::Ok, true)),
-        }
+        let mut response = String::from_utf8(bytes).expect("responses render as UTF-8");
+        response.pop();
+        (response, shutdown)
     }
 
     /// Remembers the request triple behind a fingerprint so a later
     /// `replan` can rebuild it. Cheap when already recorded.
-    fn record_request(&self, fp: u64, graph: &Value, cluster: &Value, options: &Value) {
+    fn record_request(&self, fp: u64, triple: &RequestTriple) {
         let mut index = lock_recover(&self.shared.replans);
         if !index.contains(fp) {
-            index.record(
-                fp,
-                Arc::new(RequestTriple {
-                    graph: graph.clone(),
-                    cluster: cluster.clone(),
-                    options: options.clone(),
-                }),
-            );
+            index.record(fp, Arc::new(triple.clone()));
         }
     }
 
-    /// The planning core: cache lookup, single-flight dedup, queue + wait.
-    /// Exposed for in-process callers (tests, benches) that want to skip
-    /// the socket but exercise the identical path.
-    pub fn plan_values(
-        &self,
-        graph: &Value,
-        cluster: &Value,
-        options: &Value,
-    ) -> (PlanSource, u64, PlanResult) {
-        self.plan_values_with_ttl(graph, cluster, options, None)
-    }
-
-    /// [`PlanService::plan_values`] with a per-request cache TTL.
-    pub fn plan_values_with_ttl(
-        &self,
-        graph: &Value,
-        cluster: &Value,
-        options: &Value,
-        ttl_ms: Option<u64>,
-    ) -> (PlanSource, u64, PlanResult) {
-        let (source, fp, result, _) =
-            self.plan_values_traced(graph, cluster, options, ttl_ms, false, &mut None);
-        (source, fp, result)
-    }
-
-    /// The traced planning core: [`PlanService::plan_values_with_ttl`]
-    /// plus span bookkeeping and the optional synthesis profile
-    /// (`want_profile` = the request carried `"profile": true`).
-    fn plan_values_traced(
-        &self,
-        graph: &Value,
-        cluster: &Value,
-        options: &Value,
-        ttl_ms: Option<u64>,
-        want_profile: bool,
-        tb: &mut Option<TraceBuilder>,
-    ) -> (PlanSource, u64, PlanResult, Option<Arc<SynthProfile>>) {
-        let shared = &self.shared;
-        let fp = request_fingerprint_values(graph, cluster, options);
-        self.record_request(fp, graph, cluster, options);
-        if let Some(tb) = tb.as_mut() {
-            tb.begin(SpanKind::CacheLookup);
-        }
-        if let Some(plan) = shared.cache.get(fp) {
-            shared.counters.hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(tb) = tb.as_mut() {
-                tb.end();
-            }
-            let profile = profile_for(shared, fp, want_profile, false, tb);
-            return (PlanSource::Cache, fp, Ok(plan), profile);
-        }
-        shared.counters.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(tb) = tb.as_mut() {
-            tb.end();
-        }
-        let (source, result) =
-            match dispatch::attach(shared, fp, graph, cluster, options, ttl_ms, None) {
-                Attach::Resolved(source, result) => (source, result),
-                Attach::Leader(slot) => {
-                    let result = dispatch::wait_sync(&slot);
-                    attach_slot_spans(tb, &slot);
-                    (PlanSource::Synthesized, result)
-                }
-                Attach::Follower(slot) => {
-                    let result = dispatch::wait_sync(&slot);
-                    attach_slot_spans(tb, &slot);
-                    (PlanSource::Coalesced, result)
-                }
-            };
-        let profile = match &result {
-            Ok(_) => profile_for(shared, fp, want_profile, true, tb),
-            Err(_) => None,
-        };
-        (source, fp, result, profile)
-    }
-
-    /// Replans a previously planned request after a cluster change: the
-    /// prior plan (named by its request fingerprint) is re-costed on the
-    /// post-delta cluster and seeds the synthesis as its incumbent, so an
-    /// unchanged-optimal plan is confirmed at replay cost instead of
-    /// re-searched. Returns the plan for the post-delta request — always
-    /// bit-identical to what cold synthesis on that cluster would produce
-    /// (warm seeds only survive exact cost ties) — plus the machine-
-    /// readable [`PlanDiff`] against the prior plan.
-    pub fn replan_values(
-        &self,
-        prior_fp: u64,
-        delta: &ClusterDelta,
-    ) -> Result<(PlanSource, u64, Arc<CachedPlan>, PlanDiff), WireError> {
-        self.replan_values_with_ttl(prior_fp, delta, None)
-    }
-
-    /// [`PlanService::replan_values`] with a per-request cache TTL.
-    pub fn replan_values_with_ttl(
-        &self,
-        prior_fp: u64,
-        delta: &ClusterDelta,
-        ttl_ms: Option<u64>,
-    ) -> Result<(PlanSource, u64, Arc<CachedPlan>, PlanDiff), WireError> {
-        self.replan_values_traced(prior_fp, delta, ttl_ms, false, &mut None)
-            .map(|(source, fp, plan, diff, _)| (source, fp, plan, diff))
-    }
-
-    /// The traced replanning core (see [`PlanService::plan_values_traced`]).
-    fn replan_values_traced(
-        &self,
-        prior_fp: u64,
-        delta: &ClusterDelta,
-        ttl_ms: Option<u64>,
-        want_profile: bool,
-        tb: &mut Option<TraceBuilder>,
-    ) -> Result<ReplanValues, WireError> {
-        let shared = &self.shared;
-        let prep = replan::prepare(shared, prior_fp, delta)?;
-        if let Some(tb) = tb.as_mut() {
-            tb.begin(SpanKind::CacheLookup);
-        }
-        if let Some(plan) = shared.cache.get(prep.fp) {
-            shared.counters.hits.fetch_add(1, Ordering::Relaxed);
-            shared.counters.replanned.fetch_add(1, Ordering::Relaxed);
-            if let Some(tb) = tb.as_mut() {
-                tb.end();
-            }
-            let profile = profile_for(shared, prep.fp, want_profile, false, tb);
-            let diff = replan_diff(prior_fp, &prep.prior, &plan);
-            return Ok((PlanSource::Cache, prep.fp, plan, diff, profile));
-        }
-        shared.counters.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(tb) = tb.as_mut() {
-            tb.end();
-        }
-        let (source, result) = match dispatch::attach(
-            shared,
-            prep.fp,
-            &prep.triple.graph,
-            &prep.triple.cluster,
-            &prep.triple.options,
-            ttl_ms,
-            Some(prep.prior.clone()),
-        ) {
-            Attach::Resolved(source, result) => (source, result),
-            Attach::Leader(slot) => {
-                let result = dispatch::wait_sync(&slot);
-                attach_slot_spans(tb, &slot);
-                (PlanSource::Synthesized, result)
-            }
-            Attach::Follower(slot) => {
-                let result = dispatch::wait_sync(&slot);
-                attach_slot_spans(tb, &slot);
-                (PlanSource::Coalesced, result)
-            }
-        };
-        let plan = result?;
-        shared.counters.replanned.fetch_add(1, Ordering::Relaxed);
-        let profile = profile_for(shared, prep.fp, want_profile, true, tb);
-        let diff = replan_diff(prior_fp, &prep.prior, &plan);
-        Ok((source, prep.fp, plan, diff, profile))
-    }
-
-    /// The asynchronous request path used by the event loop: never blocks
-    /// the calling thread on a synthesis. Inline-answerable requests
-    /// (cache hits, stats, shutdown, malformed frames, shed) return
-    /// [`Submission::Ready`]; a queued or joined synthesis returns
+    /// The request path: never blocks the calling thread on a synthesis
+    /// or a peer. Inline-answerable requests (cache hits, stats,
+    /// shutdown, malformed frames, shed) return [`Submission::Ready`]; a
+    /// queued or joined synthesis, or a proxy hop, returns
     /// [`Submission::Pending`] and `deliver` later receives the rendered
-    /// response bytes on the resolving worker's thread.
+    /// response bytes on the resolving thread.
     ///
-    /// `tb` is the transport's trace builder (already carrying the
-    /// `accept`/`frame` spans); it travels with the request and comes
-    /// back — as [`Submission::Ready::trace`] or through `deliver` — for
-    /// the transport to seal once the bytes flush.
+    /// `tb` is the caller's trace builder (the event loop's already
+    /// carries the `accept`/`frame` spans); it travels with the request
+    /// and comes back — as [`Submission::Ready::trace`] or through
+    /// `deliver` — for the caller to seal once the bytes flush.
     pub(crate) fn submit(
         &self,
         line: &str,
@@ -509,11 +452,7 @@ impl PlanService {
             Ok(req) => req,
             Err((id, err)) => {
                 let bytes = encode_span(&mut tb, || self.render_error(id, &err));
-                return Submission::Ready {
-                    bytes,
-                    shutdown: false,
-                    trace: seal(tb, outcome_for_error(&err)),
-                };
+                return ready(bytes, tb, outcome_for_error(&err));
             }
         };
         let id = req.id;
@@ -521,375 +460,216 @@ impl PlanService {
             tb.set_request(id, req.op.verb());
         }
         match req.op {
-            ReqOp::Stats => {
-                let bytes = encode_span(&mut tb, || frame_bytes(&self.stats_frame(id)));
-                Submission::Ready { bytes, shutdown: false, trace: seal(tb, Outcome::Ok) }
-            }
-            ReqOp::Metrics => {
-                let bytes = encode_span(&mut tb, || frame_bytes(&self.metrics_frame(id)));
-                Submission::Ready { bytes, shutdown: false, trace: seal(tb, Outcome::Ok) }
-            }
-            ReqOp::Trace { n, min_ms } => {
-                let bytes = encode_span(&mut tb, || frame_bytes(&self.trace_frame(id, n, min_ms)));
-                Submission::Ready { bytes, shutdown: false, trace: seal(tb, Outcome::Ok) }
-            }
-            ReqOp::Ring(install) => {
-                let bytes = encode_span(&mut tb, || frame_bytes(&self.ring_frame(id, install)));
-                Submission::Ready { bytes, shutdown: false, trace: seal(tb, Outcome::Ok) }
-            }
-            ReqOp::Replicate(rep) => {
-                let bytes = encode_span(&mut tb, || frame_bytes(&self.replicate_frame(id, *rep)));
-                Submission::Ready { bytes, shutdown: false, trace: seal(tb, Outcome::Ok) }
-            }
-            ReqOp::Shutdown => {
-                let bytes = encode_span(&mut tb, || frame_bytes(&ok_frame(id)));
-                Submission::Ready { bytes, shutdown: true, trace: seal(tb, Outcome::Ok) }
-            }
-            ReqOp::Plan(plan) => {
-                let shared = &self.shared;
-                let stream_chunk = plan.stream.then_some(shared.config.stream_chunk_bytes);
-                let want_profile = plan.profile;
-                let fp = request_fingerprint_values(&plan.graph, &plan.cluster, &plan.options);
-                self.record_request(fp, &plan.graph, &plan.cluster, &plan.options);
-                if let Some(tb) = tb.as_mut() {
-                    tb.begin(SpanKind::CacheLookup);
-                }
-                if let Some(cached) = shared.cache.get(fp) {
-                    shared.counters.hits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tb) = tb.as_mut() {
-                        tb.end();
-                    }
-                    let profile = profile_for(shared, fp, want_profile, false, &mut tb);
-                    let bytes = encode_span(&mut tb, || {
-                        plan_bytes(
-                            id,
-                            fp,
-                            PlanSource::Cache,
-                            &cached,
-                            None,
-                            profile.as_deref(),
-                            stream_chunk,
-                        )
-                    });
-                    return Submission::Ready {
-                        bytes,
-                        shutdown: false,
-                        trace: seal(tb, Outcome::Hit),
-                    };
-                }
-                shared.counters.misses.fetch_add(1, Ordering::Relaxed);
-                if let Some(tb) = tb.as_mut() {
-                    tb.end();
-                }
-                // Cluster routing: a miss on a fingerprint another daemon
-                // owns is proxied to that owner (ring-wide single-flight:
-                // only the owner synthesizes). A request stamped with a
-                // *different* membership epoch than ours gets a typed
-                // `not_owner` redirect instead — routing disagreements
-                // bounce back to the client rather than chaining
-                // daemon-to-daemon forwards.
-                if let Some((ring, self_addr)) = shared.cluster.current() {
-                    if let Some(owner) =
-                        ring.primary(fp).filter(|p| *p != self_addr).map(str::to_string)
-                    {
-                        if plan.epoch.is_some_and(|stamp| stamp != ring.epoch()) {
-                            shared.counters.redirected.fetch_add(1, Ordering::Relaxed);
-                            let err = WireError::not_owner(owner, ring.epoch());
-                            let bytes =
-                                encode_span(&mut tb, || frame_bytes(&error_frame(id, &err)));
-                            return Submission::Ready {
-                                bytes,
-                                shutdown: false,
-                                trace: seal(tb, outcome_for_error(&err)),
-                            };
-                        }
-                        shared.counters.proxied.fetch_add(1, Ordering::Relaxed);
-                        self.proxy_plan(
-                            id,
-                            fp,
-                            plan,
-                            owner,
-                            ring.epoch(),
-                            stream_chunk,
-                            tb,
-                            deliver,
-                        );
-                        return Submission::Pending;
-                    }
-                }
-                let attach = dispatch::attach(
-                    shared,
-                    fp,
-                    &plan.graph,
-                    &plan.cluster,
-                    &plan.options,
-                    plan.ttl_ms,
-                    None,
-                );
-                let (slot, source) = match attach {
-                    // A leadership cache race resolves as a hit, exactly
-                    // like the sync path's re-probe.
-                    Attach::Resolved(source, Ok(cached)) => {
-                        let profile = profile_for(shared, fp, want_profile, false, &mut tb);
-                        let bytes = encode_span(&mut tb, || {
-                            plan_bytes(
-                                id,
-                                fp,
-                                source,
-                                &cached,
-                                None,
-                                profile.as_deref(),
-                                stream_chunk,
-                            )
-                        });
-                        return Submission::Ready {
-                            bytes,
-                            shutdown: false,
-                            trace: seal(tb, outcome_for_source(source)),
-                        };
-                    }
-                    Attach::Resolved(_, Err(err)) => {
-                        let bytes = encode_span(&mut tb, || self.render_error(id, &err));
-                        return Submission::Ready {
-                            bytes,
-                            shutdown: false,
-                            trace: seal(tb, outcome_for_error(&err)),
-                        };
-                    }
-                    Attach::Leader(slot) => (slot, PlanSource::Synthesized),
-                    Attach::Follower(slot) => (slot, PlanSource::Coalesced),
-                };
-                // Subscribe a response renderer: each request renders with
-                // its own id, source, and streaming preference when the
-                // shared synthesis resolves.
-                let sub_shared = self.shared.clone();
-                let sub_slot = slot.clone();
-                dispatch::subscribe(
-                    &slot,
-                    Box::new(move |result: &PlanResult| {
-                        let mut tb = tb;
-                        attach_slot_spans(&mut tb, &sub_slot);
-                        let (bytes, outcome) = match result {
-                            Ok(plan) => {
-                                let profile =
-                                    profile_for(&sub_shared, fp, want_profile, true, &mut tb);
-                                let bytes = encode_span(&mut tb, || {
-                                    plan_bytes(
-                                        id,
-                                        fp,
-                                        source,
-                                        plan,
-                                        None,
-                                        profile.as_deref(),
-                                        stream_chunk,
-                                    )
-                                });
-                                (bytes, outcome_for_source(source))
-                            }
-                            Err(err) => {
-                                sub_shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                                let bytes =
-                                    encode_span(&mut tb, || frame_bytes(&error_frame(id, err)));
-                                (bytes, outcome_for_error(err))
-                            }
-                        };
-                        deliver(bytes, seal(tb, outcome));
-                    }),
-                );
-                Submission::Pending
-            }
-            ReqOp::Replan(rp) => {
-                let shared = &self.shared;
-                let stream_chunk = rp.stream.then_some(shared.config.stream_chunk_bytes);
-                let want_profile = rp.profile;
-                // Cluster routing keys on the *prior* fingerprint: its
-                // ring owner holds the request triple and plan (pushed
-                // along with every replication), so the rebase runs there.
-                let route = shared.cluster.current().and_then(|(ring, self_addr)| {
-                    ring.primary(rp.prior)
-                        .filter(|p| *p != self_addr)
-                        .map(|owner| (owner.to_string(), ring.epoch()))
-                });
-                if let Some((owner, ring_epoch)) = &route {
-                    if rp.epoch.is_some_and(|stamp| stamp != *ring_epoch) {
-                        shared.counters.redirected.fetch_add(1, Ordering::Relaxed);
-                        let err = WireError::not_owner(owner.clone(), *ring_epoch);
-                        let bytes = encode_span(&mut tb, || frame_bytes(&error_frame(id, &err)));
-                        return Submission::Ready {
-                            bytes,
-                            shutdown: false,
-                            trace: seal(tb, outcome_for_error(&err)),
-                        };
-                    }
-                }
-                let prep = match replan::prepare(shared, rp.prior, &rp.delta) {
-                    Ok(prep) => prep,
-                    Err(err) => {
-                        // A fingerprint this daemon never saw (or let
-                        // expire) may still live at its ring owner.
-                        if err.kind == UNKNOWN_FINGERPRINT_KIND {
-                            if let Some((owner, ring_epoch)) = route {
-                                shared.counters.proxied.fetch_add(1, Ordering::Relaxed);
-                                self.proxy_replan(
-                                    id,
-                                    rp,
-                                    owner,
-                                    ring_epoch,
-                                    stream_chunk,
-                                    None,
-                                    tb,
-                                    deliver,
-                                );
-                                return Submission::Pending;
-                            }
-                        }
-                        let bytes = encode_span(&mut tb, || self.render_error(id, &err));
-                        return Submission::Ready {
-                            bytes,
-                            shutdown: false,
-                            trace: seal(tb, outcome_for_error(&err)),
-                        };
-                    }
-                };
-                let prior_fp = rp.prior;
-                let fp = prep.fp;
-                if let Some(tb) = tb.as_mut() {
-                    tb.begin(SpanKind::CacheLookup);
-                }
-                if let Some(cached) = shared.cache.get(fp) {
-                    shared.counters.hits.fetch_add(1, Ordering::Relaxed);
-                    shared.counters.replanned.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tb) = tb.as_mut() {
-                        tb.end();
-                    }
-                    let profile = profile_for(shared, fp, want_profile, false, &mut tb);
-                    let diff = replan_diff(prior_fp, &prep.prior, &cached);
-                    let bytes = encode_span(&mut tb, || {
-                        plan_bytes(
-                            id,
-                            fp,
-                            PlanSource::Cache,
-                            &cached,
-                            Some(&diff),
-                            profile.as_deref(),
-                            stream_chunk,
-                        )
-                    });
-                    return Submission::Ready {
-                        bytes,
-                        shutdown: false,
-                        trace: seal(tb, Outcome::Replan),
-                    };
-                }
-                shared.counters.misses.fetch_add(1, Ordering::Relaxed);
-                if let Some(tb) = tb.as_mut() {
-                    tb.end();
-                }
-                // The rebased plan is not cached here and the prior's ring
-                // owner is another daemon: the synthesis belongs to the
-                // owner (ring-wide single-flight). The local preparation
-                // rides along as the fallback if the owner is unreachable.
-                if let Some((owner, ring_epoch)) = route {
-                    shared.counters.proxied.fetch_add(1, Ordering::Relaxed);
-                    self.proxy_replan(
-                        id,
-                        rp,
-                        owner,
-                        ring_epoch,
-                        stream_chunk,
-                        Some(prep),
-                        tb,
-                        deliver,
-                    );
-                    return Submission::Pending;
-                }
-                let attach = dispatch::attach(
-                    shared,
-                    fp,
-                    &prep.triple.graph,
-                    &prep.triple.cluster,
-                    &prep.triple.options,
-                    rp.ttl_ms,
-                    Some(prep.prior.clone()),
-                );
-                let (slot, source) = match attach {
-                    Attach::Resolved(source, Ok(cached)) => {
-                        shared.counters.replanned.fetch_add(1, Ordering::Relaxed);
-                        let profile = profile_for(shared, fp, want_profile, false, &mut tb);
-                        let diff = replan_diff(prior_fp, &prep.prior, &cached);
-                        let bytes = encode_span(&mut tb, || {
-                            plan_bytes(
-                                id,
-                                fp,
-                                source,
-                                &cached,
-                                Some(&diff),
-                                profile.as_deref(),
-                                stream_chunk,
-                            )
-                        });
-                        return Submission::Ready {
-                            bytes,
-                            shutdown: false,
-                            trace: seal(tb, Outcome::Replan),
-                        };
-                    }
-                    Attach::Resolved(_, Err(err)) => {
-                        let bytes = encode_span(&mut tb, || self.render_error(id, &err));
-                        return Submission::Ready {
-                            bytes,
-                            shutdown: false,
-                            trace: seal(tb, outcome_for_error(&err)),
-                        };
-                    }
-                    Attach::Leader(slot) => (slot, PlanSource::Synthesized),
-                    Attach::Follower(slot) => (slot, PlanSource::Coalesced),
-                };
-                let sub_shared = self.shared.clone();
-                let sub_slot = slot.clone();
-                let prior_plan = prep.prior.clone();
-                dispatch::subscribe(
-                    &slot,
-                    Box::new(move |result: &PlanResult| {
-                        let mut tb = tb;
-                        attach_slot_spans(&mut tb, &sub_slot);
-                        let (bytes, outcome) = match result {
-                            Ok(plan) => {
-                                sub_shared.counters.replanned.fetch_add(1, Ordering::Relaxed);
-                                let profile =
-                                    profile_for(&sub_shared, fp, want_profile, true, &mut tb);
-                                let diff = replan_diff(prior_fp, &prior_plan, plan);
-                                let bytes = encode_span(&mut tb, || {
-                                    plan_bytes(
-                                        id,
-                                        fp,
-                                        source,
-                                        plan,
-                                        Some(&diff),
-                                        profile.as_deref(),
-                                        stream_chunk,
-                                    )
-                                });
-                                (bytes, Outcome::Replan)
-                            }
-                            Err(err) => {
-                                sub_shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                                let bytes =
-                                    encode_span(&mut tb, || frame_bytes(&error_frame(id, err)));
-                                (bytes, outcome_for_error(err))
-                            }
-                        };
-                        deliver(bytes, seal(tb, outcome));
-                    }),
-                );
-                Submission::Pending
-            }
+            ReqOp::Plan(plan) => self.submit_plan(id, *plan, tb, deliver),
+            ReqOp::Replan(rp) => self.submit_replan(id, *rp, tb, deliver),
+            ReqOp::Stats => verb_ready(tb, false, || self.stats_frame(id)),
+            ReqOp::Metrics => verb_ready(tb, false, || self.metrics_frame(id)),
+            ReqOp::Trace { n, min_ms } => verb_ready(tb, false, || self.trace_frame(id, n, min_ms)),
+            ReqOp::Ring(install) => verb_ready(tb, false, || self.ring_frame(id, install)),
+            ReqOp::Replicate(rep) => verb_ready(tb, false, || self.replicate_frame(id, *rep)),
+            ReqOp::Shutdown => verb_ready(tb, true, || ok_frame(id)),
         }
     }
 
+    fn submit_plan(
+        &self,
+        id: u64,
+        plan: PlanRequest,
+        mut tb: Option<TraceBuilder>,
+        deliver: Deliver,
+    ) -> Submission {
+        let shared = &self.shared;
+        let PlanRequest { triple, extras } = plan;
+        let fp = request_fingerprint_values(&triple.graph, &triple.cluster, &triple.options);
+        self.record_request(fp, &triple);
+        let answer = extras.answer(shared, id, fp, None);
+        if let Some(hit) = self.probe(&answer, &mut tb) {
+            return hit;
+        }
+        // Cluster routing: a miss on a fingerprint another daemon owns is
+        // proxied to that owner (ring-wide single-flight: only the owner
+        // synthesizes).
+        if let Some((ring, self_addr)) = shared.cluster.current() {
+            if let Some(owner) = ring.primary(fp).filter(|p| *p != self_addr) {
+                if let Some(redirect) =
+                    self.redirect(id, extras.epoch, owner, ring.epoch(), &mut tb)
+                {
+                    return redirect;
+                }
+                let line = extras.forward_line(
+                    "plan",
+                    id,
+                    vec![
+                        ("graph", triple.graph.clone()),
+                        ("cluster", triple.cluster.clone()),
+                        ("options", triple.options.clone()),
+                    ],
+                    ring.epoch(),
+                );
+                let stream_chunk = answer.stream_chunk;
+                let fallback = resolve_locally(shared.clone(), answer, triple, extras.ttl_ms);
+                self.forward(owner.to_string(), line, id, stream_chunk, tb, deliver, fallback);
+                return Submission::Pending;
+            }
+        }
+        resolve(shared, answer, &triple, extras.ttl_ms, tb, deliver).0
+    }
+
+    fn submit_replan(
+        &self,
+        id: u64,
+        rp: ReplanRequest,
+        mut tb: Option<TraceBuilder>,
+        deliver: Deliver,
+    ) -> Submission {
+        let shared = &self.shared;
+        let ReplanRequest { prior: prior_fp, delta, extras } = rp;
+        // Cluster routing keys on the *prior* fingerprint: its ring owner
+        // holds the request triple and plan (pushed along with every
+        // replication), so the rebase runs there.
+        let route = shared.cluster.current().and_then(|(ring, self_addr)| {
+            ring.primary(prior_fp)
+                .filter(|p| *p != self_addr)
+                .map(|owner| (owner.to_string(), ring.epoch()))
+        });
+        if let Some((owner, epoch)) = &route {
+            if let Some(redirect) = self.redirect(id, extras.epoch, owner, *epoch, &mut tb) {
+                return redirect;
+            }
+        }
+        let forward_line = |epoch| {
+            let body = vec![
+                ("prior", Value::Str(render_fingerprint(prior_fp))),
+                ("delta", delta.encode()),
+            ];
+            extras.forward_line("replan", id, body, epoch)
+        };
+        let stream_chunk = extras.stream_chunk(shared);
+        let PreparedReplan { fp, triple, prior } = match replan::prepare(shared, prior_fp, &delta) {
+            Ok(prep) => prep,
+            Err(err) => {
+                // A fingerprint this daemon never saw (or let expire) may
+                // still live at its ring owner; if the owner cannot answer
+                // either, the request fails as it would on one daemon.
+                if let (UNKNOWN_FINGERPRINT_KIND, Some((owner, epoch))) = (err.kind.as_str(), route)
+                {
+                    let line = forward_line(epoch);
+                    let shared = shared.clone();
+                    let unknown = move |mut tb: Option<TraceBuilder>, deliver: Deliver| {
+                        let err = WireError::new(
+                            UNKNOWN_FINGERPRINT_KIND,
+                            format!(
+                                "no request recorded for {} here and its ring owner is \
+                                 unreachable; plan it cold first",
+                                render_fingerprint(prior_fp)
+                            ),
+                        );
+                        let bytes = encode_span(&mut tb, || error_bytes(&shared, id, &err));
+                        deliver(bytes, seal(tb, outcome_for_error(&err)));
+                    };
+                    self.forward(owner, line, id, stream_chunk, tb, deliver, unknown);
+                    return Submission::Pending;
+                }
+                let bytes = encode_span(&mut tb, || self.render_error(id, &err));
+                return ready(bytes, tb, outcome_for_error(&err));
+            }
+        };
+        let answer = extras.answer(shared, id, fp, Some((prior_fp, prior)));
+        if let Some(hit) = self.probe(&answer, &mut tb) {
+            return hit;
+        }
+        // The rebased plan is not cached here and the prior's owner is
+        // another daemon: the synthesis belongs to the owner. The local
+        // preparation rides along as the fallback.
+        if let Some((owner, epoch)) = route {
+            let fallback = resolve_locally(shared.clone(), answer, triple, extras.ttl_ms);
+            self.forward(owner, forward_line(epoch), id, stream_chunk, tb, deliver, fallback);
+            return Submission::Pending;
+        }
+        resolve(shared, answer, &triple, extras.ttl_ms, tb, deliver).0
+    }
+
+    /// The cache probe every plan-bearing request starts with: counts the
+    /// hit or miss and renders a hit inline.
+    fn probe(&self, answer: &Answer, tb: &mut Option<TraceBuilder>) -> Option<Submission> {
+        let shared = &self.shared;
+        if let Some(tb) = tb.as_mut() {
+            tb.begin(SpanKind::CacheLookup);
+        }
+        let cached = shared.cache.get(answer.fp);
+        let counter =
+            if cached.is_some() { &shared.counters.hits } else { &shared.counters.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if let Some(tb) = tb.as_mut() {
+            tb.end();
+        }
+        let (bytes, outcome) = answer.plan(shared, PlanSource::Cache, &*cached?, false, tb);
+        Some(ready(bytes, tb.take(), outcome))
+    }
+
+    /// A request stamped with a ring epoch other than ours gets a typed
+    /// `not_owner` redirect instead of a proxy hop: routing disagreements
+    /// bounce back to the client rather than chaining daemon-to-daemon
+    /// forwards. A redirect is routing, counted as `redirected`, not as an
+    /// error.
+    fn redirect(
+        &self,
+        id: u64,
+        stamp: Option<u64>,
+        owner: &str,
+        epoch: u64,
+        tb: &mut Option<TraceBuilder>,
+    ) -> Option<Submission> {
+        if stamp.is_none_or(|stamp| stamp == epoch) {
+            return None;
+        }
+        self.shared.counters.redirected.fetch_add(1, Ordering::Relaxed);
+        let err = WireError::not_owner(owner.to_string(), epoch);
+        let bytes = encode_span(tb, || frame_bytes(&error_frame(id, &err)));
+        Some(ready(bytes, tb.take(), outcome_for_error(&err)))
+    }
+
+    /// Forwards a missed request to its ring owner on a peer thread and
+    /// counts it as `proxied`. `line` is the request stamped with our ring
+    /// epoch and never streamed: streaming is client-transport framing,
+    /// applied locally to the owner's canonical line, which is relayed
+    /// unchanged otherwise. An unreachable, garbled or ownership-denying
+    /// owner runs `fallback` instead — a routing failure degrades to
+    /// single-daemon behavior.
+    #[allow(clippy::too_many_arguments)]
+    fn forward(
+        &self,
+        owner: String,
+        line: String,
+        id: u64,
+        stream_chunk: Option<usize>,
+        tb: Option<TraceBuilder>,
+        deliver: Deliver,
+        fallback: impl FnOnce(Option<TraceBuilder>, Deliver) + Send + 'static,
+    ) {
+        self.shared.counters.proxied.fetch_add(1, Ordering::Relaxed);
+        let shared = self.shared.clone();
+        self.shared.cluster.peers.spawn(Box::new(move || {
+            let reply = shared
+                .cluster
+                .peers
+                .call(&owner, &line)
+                .ok()
+                .and_then(|resp| classify_proxy_reply(&resp).map(|r| (resp, r)));
+            match reply {
+                Some((resp, ProxyReply::Pass { outcome, is_plan })) => {
+                    let mut tb = tb;
+                    let bytes =
+                        encode_span(&mut tb, || proxied_bytes(id, resp, is_plan, stream_chunk));
+                    deliver(bytes, seal(tb, outcome));
+                }
+                _ => fallback(tb, deliver),
+            }
+        }));
+    }
+
     pub(crate) fn render_error(&self, id: u64, err: &WireError) -> Vec<u8> {
-        self.shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-        frame_bytes(&error_frame(id, err))
+        error_bytes(&self.shared, id, err)
     }
 
     fn stats_frame(&self, id: u64) -> Value {
@@ -983,157 +763,6 @@ impl PlanService {
         ok_frame(id)
     }
 
-    /// Forwards a missed `plan` to the fingerprint's ring owner on a peer
-    /// thread. The owner's canonical response line is relayed unchanged
-    /// (re-chunked locally when the client streams); an unreachable or
-    /// ownership-denying owner falls back to local synthesis — a routing
-    /// failure degrades to single-daemon behavior, never to an error.
-    #[allow(clippy::too_many_arguments)]
-    fn proxy_plan(
-        &self,
-        id: u64,
-        fp: u64,
-        plan: Box<PlanRequest>,
-        owner: String,
-        epoch: u64,
-        stream_chunk: Option<usize>,
-        tb: Option<TraceBuilder>,
-        deliver: Deliver,
-    ) {
-        let shared = self.shared.clone();
-        // The forward is the same request stamped with our ring epoch and
-        // never streamed — streaming is client-transport framing, applied
-        // locally to the owner's canonical line.
-        let mut fields = vec![
-            ("op", Value::Str("plan".into())),
-            ("id", Value::int(id)),
-            ("graph", plan.graph.clone()),
-            ("cluster", plan.cluster.clone()),
-            ("options", plan.options.clone()),
-        ];
-        if let Some(ttl) = plan.ttl_ms {
-            fields.push(("ttl_ms", Value::int(ttl)));
-        }
-        if plan.profile {
-            fields.push(("profile", Value::Bool(true)));
-        }
-        fields.push(("epoch", Value::int(epoch)));
-        let line = Value::obj(fields).render();
-        self.shared.cluster.peers.spawn(Box::new(move || {
-            let reply = shared
-                .cluster
-                .peers
-                .call(&owner, &line)
-                .ok()
-                .and_then(|resp| classify_proxy_reply(&resp).map(|r| (resp, r)));
-            match reply {
-                Some((resp, ProxyReply::Pass { outcome, is_plan })) => {
-                    let mut tb = tb;
-                    let bytes =
-                        encode_span(&mut tb, || proxied_bytes(id, resp, is_plan, stream_chunk));
-                    deliver(bytes, seal(tb, outcome));
-                }
-                // The owner denied ownership, was unreachable, or answered
-                // garbage: synthesize locally.
-                _ => plan_attach_deliver(
-                    &shared,
-                    id,
-                    fp,
-                    &plan.graph,
-                    &plan.cluster,
-                    &plan.options,
-                    plan.ttl_ms,
-                    plan.profile,
-                    stream_chunk,
-                    None,
-                    tb,
-                    deliver,
-                ),
-            }
-        }));
-    }
-
-    /// Forwards a `replan` to the prior fingerprint's ring owner, exactly
-    /// as [`PlanService::proxy_plan`] forwards a `plan`. When this daemon
-    /// could prepare the rebase locally (`fallback`), an unreachable owner
-    /// degrades to a local warm-seeded synthesis; otherwise the request
-    /// fails with the `unknown_fingerprint` it would have failed with on
-    /// a single daemon.
-    #[allow(clippy::too_many_arguments)]
-    fn proxy_replan(
-        &self,
-        id: u64,
-        rp: Box<ReplanRequest>,
-        owner: String,
-        epoch: u64,
-        stream_chunk: Option<usize>,
-        fallback: Option<replan::PreparedReplan>,
-        tb: Option<TraceBuilder>,
-        deliver: Deliver,
-    ) {
-        let shared = self.shared.clone();
-        let mut fields = vec![
-            ("op", Value::Str("replan".into())),
-            ("id", Value::int(id)),
-            ("prior", Value::Str(render_fingerprint(rp.prior))),
-            ("delta", rp.delta.encode()),
-        ];
-        if let Some(ttl) = rp.ttl_ms {
-            fields.push(("ttl_ms", Value::int(ttl)));
-        }
-        if rp.profile {
-            fields.push(("profile", Value::Bool(true)));
-        }
-        fields.push(("epoch", Value::int(epoch)));
-        let line = Value::obj(fields).render();
-        self.shared.cluster.peers.spawn(Box::new(move || {
-            let reply = shared
-                .cluster
-                .peers
-                .call(&owner, &line)
-                .ok()
-                .and_then(|resp| classify_proxy_reply(&resp).map(|r| (resp, r)));
-            match reply {
-                Some((resp, ProxyReply::Pass { outcome, is_plan })) => {
-                    let mut tb = tb;
-                    let bytes =
-                        encode_span(&mut tb, || proxied_bytes(id, resp, is_plan, stream_chunk));
-                    deliver(bytes, seal(tb, outcome));
-                }
-                _ => match fallback {
-                    Some(prep) => plan_attach_deliver(
-                        &shared,
-                        id,
-                        prep.fp,
-                        &prep.triple.graph,
-                        &prep.triple.cluster,
-                        &prep.triple.options,
-                        rp.ttl_ms,
-                        rp.profile,
-                        stream_chunk,
-                        Some((rp.prior, prep.prior.clone())),
-                        tb,
-                        deliver,
-                    ),
-                    None => {
-                        shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        let err = WireError::new(
-                            UNKNOWN_FINGERPRINT_KIND,
-                            format!(
-                                "no request recorded for {} here and its ring owner is \
-                                 unreachable; plan it cold first",
-                                render_fingerprint(rp.prior)
-                            ),
-                        );
-                        let mut tb = tb;
-                        let bytes = encode_span(&mut tb, || frame_bytes(&error_frame(id, &err)));
-                        deliver(bytes, seal(tb, outcome_for_error(&err)));
-                    }
-                },
-            }
-        }));
-    }
-
     /// A consistent stats snapshot: every gauge is sampled exactly once,
     /// in one pass, so the frame's `entries`/`in_flight`/telemetry totals
     /// describe the same instant instead of racing each other between
@@ -1206,14 +835,14 @@ impl Drop for PlanService {
 }
 
 // ---------------------------------------------------------------------------
-// Request parsing shared by the sync and async paths
+// Request parsing
 // ---------------------------------------------------------------------------
 
-struct PlanRequest {
-    graph: Value,
-    cluster: Value,
-    options: Value,
+/// The optional fields `plan` and `replan` share.
+struct Extras {
+    /// How long the synthesized plan should stay cached.
     ttl_ms: Option<u64>,
+    /// `"stream": true` — answer a plan as chunk frames.
     stream: bool,
     /// `"profile": true` — include the synthesis profile in the response.
     profile: bool,
@@ -1225,18 +854,56 @@ struct PlanRequest {
     epoch: Option<u64>,
 }
 
+impl Extras {
+    fn stream_chunk(&self, shared: &Shared) -> Option<usize> {
+        self.stream.then_some(shared.config.stream_chunk_bytes)
+    }
+
+    fn answer(
+        &self,
+        shared: &Shared,
+        id: u64,
+        fp: u64,
+        prior: Option<(u64, Arc<CachedPlan>)>,
+    ) -> Answer {
+        Answer {
+            id,
+            fp,
+            want_profile: self.profile,
+            stream_chunk: self.stream_chunk(shared),
+            prior,
+        }
+    }
+
+    /// The request as forwarded to its ring owner: `body` plus the
+    /// optional fields, stamped with our ring epoch and never streamed.
+    fn forward_line(&self, op: &str, id: u64, body: Vec<(&str, Value)>, epoch: u64) -> String {
+        let mut fields = vec![("op", Value::Str(op.into())), ("id", Value::int(id))];
+        fields.extend(body);
+        if let Some(ttl) = self.ttl_ms {
+            fields.push(("ttl_ms", Value::int(ttl)));
+        }
+        if self.profile {
+            fields.push(("profile", Value::Bool(true)));
+        }
+        fields.push(("epoch", Value::int(epoch)));
+        Value::obj(fields).render()
+    }
+}
+
+struct PlanRequest {
+    triple: RequestTriple,
+    extras: Extras,
+}
+
 struct ReplanRequest {
-    /// Fingerprint of the previously planned request to start from.
+    /// Fingerprint of the previously planned request to start from. A
+    /// replan routes by it — the daemon owning the prior fingerprint holds
+    /// its triple and plan.
     prior: u64,
     /// How the cluster changed since that plan.
     delta: ClusterDelta,
-    ttl_ms: Option<u64>,
-    stream: bool,
-    /// `"profile": true` — include the synthesis profile in the response.
-    profile: bool,
-    /// See [`PlanRequest::epoch`]. A replan routes by `prior` — the
-    /// daemon owning the prior fingerprint holds its triple and plan.
-    epoch: Option<u64>,
+    extras: Extras,
 }
 
 /// A `ring` request carrying a membership record to install.
@@ -1304,21 +971,13 @@ impl Request {
         match op {
             "plan" => {
                 let fetch = |key: &str| v.field(key).cloned().map_err(|e| (id, WireError::from(e)));
-                let (graph, cluster, options) =
-                    (fetch("graph")?, fetch("cluster")?, fetch("options")?);
-                let (ttl_ms, stream, profile, epoch) = parse_ttl_stream(&v, id)?;
-                Ok(Request {
-                    id,
-                    op: ReqOp::Plan(Box::new(PlanRequest {
-                        graph,
-                        cluster,
-                        options,
-                        ttl_ms,
-                        stream,
-                        profile,
-                        epoch,
-                    })),
-                })
+                let triple = RequestTriple {
+                    graph: fetch("graph")?,
+                    cluster: fetch("cluster")?,
+                    options: fetch("options")?,
+                };
+                let extras = Extras::parse(&v, id)?;
+                Ok(Request { id, op: ReqOp::Plan(Box::new(PlanRequest { triple, extras })) })
             }
             "replan" => {
                 // Decode the delta at parse time: a malformed delta is a
@@ -1331,17 +990,10 @@ impl Request {
                 let delta_value = v.field("delta").map_err(|e| (id, WireError::from(e)))?;
                 let delta =
                     ClusterDelta::decode(delta_value).map_err(|e| (id, WireError::from(e)))?;
-                let (ttl_ms, stream, profile, epoch) = parse_ttl_stream(&v, id)?;
+                let extras = Extras::parse(&v, id)?;
                 Ok(Request {
                     id,
-                    op: ReqOp::Replan(Box::new(ReplanRequest {
-                        prior,
-                        delta,
-                        ttl_ms,
-                        stream,
-                        profile,
-                        epoch,
-                    })),
+                    op: ReqOp::Replan(Box::new(ReplanRequest { prior, delta, extras })),
                 })
             }
             "ring" => {
@@ -1400,50 +1052,46 @@ impl Request {
     }
 }
 
-/// The optional `ttl_ms`, `stream`, `profile`, and `epoch` request
-/// fields, shared by `plan` and `replan`.
-#[allow(clippy::type_complexity)]
-fn parse_ttl_stream(
-    v: &Value,
-    id: u64,
-) -> Result<(Option<u64>, bool, bool, Option<u64>), (u64, WireError)> {
-    // Optional cache-lifetime request: how long the synthesized plan
-    // should stay valid (a tenant planning for a cluster it is about to
-    // decommission bounds its own footprint).
-    let ttl_ms = match v.get("ttl_ms") {
-        None | Some(Value::Null) => None,
-        Some(ms) => {
-            let ms = ms.as_u64().map_err(|e| (id, WireError::from(e)))?;
-            // Reject before any work: an unbounded TTL times 1e6 (ns)
-            // would leave the codec's exact-integer range and panic the
-            // persisting worker.
-            if ms > MAX_TTL_MS {
-                return Err((
-                    id,
-                    WireError::new(
-                        "decode",
-                        format!("ttl_ms {ms} exceeds the maximum {MAX_TTL_MS}"),
-                    ),
-                ));
+impl Extras {
+    fn parse(v: &Value, id: u64) -> Result<Extras, (u64, WireError)> {
+        // Optional cache-lifetime request: how long the synthesized plan
+        // should stay valid (a tenant planning for a cluster it is about to
+        // decommission bounds its own footprint).
+        let ttl_ms = match v.get("ttl_ms") {
+            None | Some(Value::Null) => None,
+            Some(ms) => {
+                let ms = ms.as_u64().map_err(|e| (id, WireError::from(e)))?;
+                // Reject before any work: an unbounded TTL times 1e6 (ns)
+                // would leave the codec's exact-integer range and panic the
+                // persisting worker.
+                if ms > MAX_TTL_MS {
+                    return Err((
+                        id,
+                        WireError::new(
+                            "decode",
+                            format!("ttl_ms {ms} exceeds the maximum {MAX_TTL_MS}"),
+                        ),
+                    ));
+                }
+                Some(ms)
             }
-            Some(ms)
-        }
-    };
-    let stream = match v.get("stream") {
-        None | Some(Value::Null) => false,
-        Some(flag) => flag.as_bool().map_err(|e| (id, WireError::from(e)))?,
-    };
-    let profile = match v.get("profile") {
-        None | Some(Value::Null) => false,
-        Some(flag) => flag.as_bool().map_err(|e| (id, WireError::from(e)))?,
-    };
-    // The sender's ring epoch, stamped by ring-routing clients and by
-    // daemon-to-daemon proxy forwards.
-    let epoch = match v.get("epoch") {
-        None | Some(Value::Null) => None,
-        Some(e) => Some(e.as_u64().map_err(|e| (id, WireError::from(e)))?),
-    };
-    Ok((ttl_ms, stream, profile, epoch))
+        };
+        let stream = match v.get("stream") {
+            None | Some(Value::Null) => false,
+            Some(flag) => flag.as_bool().map_err(|e| (id, WireError::from(e)))?,
+        };
+        let profile = match v.get("profile") {
+            None | Some(Value::Null) => false,
+            Some(flag) => flag.as_bool().map_err(|e| (id, WireError::from(e)))?,
+        };
+        // The sender's ring epoch, stamped by ring-routing clients and by
+        // daemon-to-daemon proxy forwards.
+        let epoch = match v.get("epoch") {
+            None | Some(Value::Null) => None,
+            Some(e) => Some(e.as_u64().map_err(|e| (id, WireError::from(e)))?),
+        };
+        Ok(Extras { ttl_ms, stream, profile, epoch })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1507,114 +1155,6 @@ fn proxied_bytes(id: u64, line: String, is_plan: bool, stream_chunk: Option<usiz
             bytes
         }
     }
-}
-
-/// The local-resolution tail shared by every proxy fallback: re-probe the
-/// cache (the plan may have arrived — replication, a raced request —
-/// since the routing decision), then attach to the single-flight dispatch
-/// and deliver the rendered response when it resolves. `prior` carries a
-/// replan's prior plan: it seeds the synthesis warm and produces the
-/// response's `replan` diff.
-#[allow(clippy::too_many_arguments)]
-fn plan_attach_deliver(
-    shared: &Arc<Shared>,
-    id: u64,
-    fp: u64,
-    graph: &Value,
-    cluster: &Value,
-    options: &Value,
-    ttl_ms: Option<u64>,
-    want_profile: bool,
-    stream_chunk: Option<usize>,
-    prior: Option<(u64, Arc<CachedPlan>)>,
-    mut tb: Option<TraceBuilder>,
-    deliver: Deliver,
-) {
-    if let Some(cached) = shared.cache.get(fp) {
-        shared.counters.hits.fetch_add(1, Ordering::Relaxed);
-        if prior.is_some() {
-            shared.counters.replanned.fetch_add(1, Ordering::Relaxed);
-        }
-        let profile = profile_for(shared, fp, want_profile, false, &mut tb);
-        let diff = prior.as_ref().map(|(pfp, pplan)| replan_diff(*pfp, pplan, &cached));
-        let outcome = if prior.is_some() { Outcome::Replan } else { Outcome::Hit };
-        let bytes = encode_span(&mut tb, || {
-            plan_bytes(
-                id,
-                fp,
-                PlanSource::Cache,
-                &cached,
-                diff.as_ref(),
-                profile.as_deref(),
-                stream_chunk,
-            )
-        });
-        deliver(bytes, seal(tb, outcome));
-        return;
-    }
-    let warm = prior.as_ref().map(|(_, plan)| plan.clone());
-    let (slot, source) = match dispatch::attach(shared, fp, graph, cluster, options, ttl_ms, warm) {
-        Attach::Resolved(source, Ok(cached)) => {
-            if prior.is_some() {
-                shared.counters.replanned.fetch_add(1, Ordering::Relaxed);
-            }
-            let profile = profile_for(shared, fp, want_profile, false, &mut tb);
-            let diff = prior.as_ref().map(|(pfp, pplan)| replan_diff(*pfp, pplan, &cached));
-            let outcome =
-                if prior.is_some() { Outcome::Replan } else { outcome_for_source(source) };
-            let bytes = encode_span(&mut tb, || {
-                plan_bytes(id, fp, source, &cached, diff.as_ref(), profile.as_deref(), stream_chunk)
-            });
-            deliver(bytes, seal(tb, outcome));
-            return;
-        }
-        Attach::Resolved(_, Err(err)) => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            let bytes = encode_span(&mut tb, || frame_bytes(&error_frame(id, &err)));
-            deliver(bytes, seal(tb, outcome_for_error(&err)));
-            return;
-        }
-        Attach::Leader(slot) => (slot, PlanSource::Synthesized),
-        Attach::Follower(slot) => (slot, PlanSource::Coalesced),
-    };
-    let sub_shared = shared.clone();
-    let sub_slot = slot.clone();
-    dispatch::subscribe(
-        &slot,
-        Box::new(move |result: &PlanResult| {
-            let mut tb = tb;
-            attach_slot_spans(&mut tb, &sub_slot);
-            let (bytes, outcome) = match result {
-                Ok(plan) => {
-                    if prior.is_some() {
-                        sub_shared.counters.replanned.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let profile = profile_for(&sub_shared, fp, want_profile, true, &mut tb);
-                    let diff = prior.as_ref().map(|(pfp, pplan)| replan_diff(*pfp, pplan, plan));
-                    let outcome =
-                        if prior.is_some() { Outcome::Replan } else { outcome_for_source(source) };
-                    let bytes = encode_span(&mut tb, || {
-                        plan_bytes(
-                            id,
-                            fp,
-                            source,
-                            plan,
-                            diff.as_ref(),
-                            profile.as_deref(),
-                            stream_chunk,
-                        )
-                    });
-                    (bytes, outcome)
-                }
-                Err(err) => {
-                    sub_shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    let bytes = encode_span(&mut tb, || frame_bytes(&error_frame(id, err)));
-                    (bytes, outcome_for_error(err))
-                }
-            };
-            deliver(bytes, seal(tb, outcome));
-        }),
-    );
 }
 
 // ---------------------------------------------------------------------------

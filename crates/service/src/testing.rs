@@ -289,26 +289,20 @@ pub struct StepOutcome {
 }
 
 /// Drives a schedule sequentially over one connection (deterministic
-/// order), retrying through busy frames. Panics on any non-busy error —
-/// stress traffic is all well-formed.
+/// order), retrying through busy frames, optionally over the chunked
+/// streaming transport (the connection-scale soak streams part of its
+/// traffic to prove the framing is invisible to every overload
+/// invariant). Panics on any non-busy error — stress traffic is all
+/// well-formed.
 pub fn drive_sequential(
-    addr: std::net::SocketAddr,
-    ops: &[StressOp],
-    retry: &RetryPolicy,
-) -> Vec<StepOutcome> {
-    drive_sequential_opts(addr, ops, retry, false)
-}
-
-/// [`drive_sequential`] with an optional chunked-streaming transport —
-/// the connection-scale soak drives part of its traffic streamed to prove
-/// the framing change is invisible to every overload invariant.
-pub fn drive_sequential_opts(
     addr: std::net::SocketAddr,
     ops: &[StressOp],
     retry: &RetryPolicy,
     stream: bool,
 ) -> Vec<StepOutcome> {
     let mut client = Client::connect(addr).expect("stress client connect");
+    client.set_retry(Some(*retry));
+    client.set_stream(stream);
     ops.iter()
         .map(|&op| {
             let req = match op {
@@ -317,7 +311,7 @@ pub fn drive_sequential_opts(
                 StressOp::Replan(i) => {
                     let req = hot_request(i);
                     let delta = replan_delta(i);
-                    match client.replan_with_retry(req.fingerprint(), &delta, None, retry) {
+                    match client.replan(req.fingerprint(), &delta) {
                         Ok(reply) => {
                             return StepOutcome {
                                 op,
@@ -331,14 +325,7 @@ pub fn drive_sequential_opts(
                         Err(e) if e.kind == "unknown_fingerprint" => {
                             let cluster = delta.apply(&req.cluster).expect("chaos delta is valid");
                             let reply = client
-                                .plan_with_retry_opts(
-                                    &req.graph,
-                                    &cluster,
-                                    &req.options,
-                                    None,
-                                    stream,
-                                    retry,
-                                )
+                                .plan(&req.graph, &cluster, &req.options)
                                 .unwrap_or_else(|e| panic!("{} cold fallback: {e}", req.name));
                             return StepOutcome {
                                 op,
@@ -351,7 +338,7 @@ pub fn drive_sequential_opts(
                 }
             };
             let reply = client
-                .plan_with_retry_opts(&req.graph, &req.cluster, &req.options, None, stream, retry)
+                .plan(&req.graph, &req.cluster, &req.options)
                 .unwrap_or_else(|e| panic!("{}: {e}", req.name));
             StepOutcome { op, source: reply.source.clone(), bits: ReplyBits::of(&reply) }
         })

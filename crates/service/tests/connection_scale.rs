@@ -129,13 +129,13 @@ fn a_thousand_idle_connections_cost_no_threads_and_no_invariants() {
     // seeded hot/flood mix, half plain, half streamed.
     let retry = RetryPolicy::default();
     let warmup: Vec<StressOp> = (0..HOT_N).map(StressOp::Hot).collect();
-    let warm = testing::drive_sequential(addr, &warmup, &retry);
+    let warm = testing::drive_sequential(addr, &warmup, &retry, false);
     assert!(warm.iter().all(|o| o.source == "synthesized"), "warmup is all cold");
 
     let ops = testing::schedule(seed, HOT_N, HOT_REPEATS, FLOOD_N);
     let (first, second) = ops.split_at(ops.len() / 2);
-    let mut outcomes = testing::drive_sequential_opts(addr, first, &retry, false);
-    outcomes.extend(testing::drive_sequential_opts(addr, second, &retry, true));
+    let mut outcomes = testing::drive_sequential(addr, first, &retry, false);
+    outcomes.extend(testing::drive_sequential(addr, second, &retry, true));
 
     // Hot plans never drift, streamed or not.
     for o in &outcomes {
@@ -151,7 +151,8 @@ fn a_thousand_idle_connections_cost_no_threads_and_no_invariants() {
     let req = hot_request(0);
     let mut plain_client = Client::connect(addr).unwrap();
     let plain = plain_client.plan(&req.graph, &req.cluster, &req.options).unwrap();
-    let streamed = plain_client.plan_streamed(&req.graph, &req.cluster, &req.options).unwrap();
+    plain_client.set_stream(true);
+    let streamed = plain_client.plan(&req.graph, &req.cluster, &req.options).unwrap();
     assert_eq!(plain.source, "cache");
     assert_eq!(streamed.source, "cache");
     assert_eq!(streamed.program.fingerprint(), plain.program.fingerprint());

@@ -35,12 +35,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use hap_codec::{parse_persist_line, persist_line, CachedPlan, Encode};
+use hap_codec::{parse, parse_persist_line, persist_line, CachedPlan, Decode, Value, WireError};
 use hap_service::faults::{self, Fault, FaultSpec};
-use hap_service::testing::{hot_request, slow_request, ReplyBits, StressRequest};
+use hap_service::testing::{hot_request, request_line, slow_request, ReplyBits, StressRequest};
 use hap_service::{
     compact_log, load_cache, Client, FsyncPolicy, LoadOutcome, PersistLog, PlanCache, PlanService,
-    PlanSource, RetryPolicy, Server, ServiceConfig,
+    RetryPolicy, Server, ServiceConfig,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -330,10 +330,26 @@ fn seeded_crash_recovery_torture() {
 // Graceful degradation, service level
 // ---------------------------------------------------------------------------
 
-fn plan_via(service: &PlanService, req: &StressRequest) -> (PlanSource, u64, Arc<CachedPlan>) {
-    let (source, fp, result) =
-        service.plan_values(&req.graph.encode(), &req.cluster.encode(), &req.options.encode());
-    (source, fp, result.unwrap_or_else(|e| panic!("{}: {e}", req.name)))
+/// Serves `req` through `handle_line`: the response's parsed frame.
+fn respond(service: &PlanService, req: &StressRequest, id: u64) -> Value {
+    let (response, _) = service.handle_line(&request_line(req, id));
+    parse(&response).unwrap_or_else(|e| panic!("{}: {e}: {response}", req.name))
+}
+
+/// Plans `req` through `handle_line`: the response's `source`, and what
+/// it served — its `fingerprint` and `plan` object, rendered, so two
+/// servings compare byte for byte.
+fn plan_via(service: &PlanService, req: &StressRequest) -> (String, String) {
+    let v = respond(service, req, 1);
+    let field = |key| v.field(key).unwrap_or_else(|e| panic!("{}: {e}: {}", req.name, v.render()));
+    let served = format!("{}{}", field("fingerprint").render(), field("plan").render());
+    (field("source").as_str().unwrap().to_string(), served)
+}
+
+/// The typed error a `handle_line` response frame carries.
+fn error_of(v: &Value) -> WireError {
+    assert!(!v.field("ok").unwrap().as_bool().unwrap(), "expected an error: {}", v.render());
+    WireError::decode(v.field("error").unwrap()).expect("error frame decodes")
 }
 
 /// A persistence outage must not cost a single request: the daemon flips
@@ -351,8 +367,8 @@ fn persistence_outage_degrades_and_recovers_without_dropping_requests() {
         ..Default::default()
     };
     let service = PlanService::new(config()).unwrap();
-    let (s0, fp0, p0) = plan_via(&service, &hot_request(0));
-    assert_eq!(s0, PlanSource::Synthesized);
+    let (s0, p0) = plan_via(&service, &hot_request(0));
+    assert_eq!(s0, "synthesized");
     assert_eq!(service.stats().persistence_degraded, 0);
     assert_eq!(service.stats().persist_errors, 0);
 
@@ -361,24 +377,24 @@ fn persistence_outage_degrades_and_recovers_without_dropping_requests() {
         faults::APPEND_WRITE,
         FaultSpec::now(Fault::Error(std::io::ErrorKind::StorageFull, "disk full".into())),
     );
-    let (s1, fp1, p1) = plan_via(&service, &hot_request(1));
-    assert_eq!(s1, PlanSource::Synthesized, "the request is served despite the dead disk");
+    let (s1, p1) = plan_via(&service, &hot_request(1));
+    assert_eq!(s1, "synthesized", "the request is served despite the dead disk");
     let stats = service.stats();
     assert_eq!(stats.persistence_degraded, 1);
     assert_eq!(stats.persist_errors, 1);
 
     // Memory-only serving: the hot set still hits (the PR-5 retention
     // invariant holds through the outage).
-    let (s1b, _, p1b) = plan_via(&service, &hot_request(1));
-    assert_eq!(s1b, PlanSource::Cache);
-    assert_eq!(p1b.program.fingerprint(), p1.program.fingerprint());
-    let (s0b, _, _) = plan_via(&service, &hot_request(0));
-    assert_eq!(s0b, PlanSource::Cache);
+    let (s1b, p1b) = plan_via(&service, &hot_request(1));
+    assert_eq!(s1b, "cache");
+    assert_eq!(p1b, p1);
+    let (s0b, _) = plan_via(&service, &hot_request(0));
+    assert_eq!(s0b, "cache");
 
     // The next admission re-probes the healed disk and recovers the
     // outage window.
-    let (s2, fp2, p2) = plan_via(&service, &hot_request(2));
-    assert_eq!(s2, PlanSource::Synthesized);
+    let (s2, p2) = plan_via(&service, &hot_request(2));
+    assert_eq!(s2, "synthesized");
     let stats = service.stats();
     assert_eq!(stats.persistence_degraded, 0, "a successful re-probe resumes persistence");
     assert_eq!(stats.persist_errors, 1, "no new failures after the disk healed");
@@ -387,11 +403,10 @@ fn persistence_outage_degrades_and_recovers_without_dropping_requests() {
     // Reboot: every plan — including the one admitted while degraded —
     // recovered bit-identically and served from the cache.
     let reboot = PlanService::new(config()).unwrap();
-    for (i, (fp, plan)) in [(fp0, p0), (fp1, p1), (fp2, p2)].iter().enumerate() {
-        let (source, got_fp, got) = plan_via(&reboot, &hot_request(i));
-        assert_eq!(source, PlanSource::Cache, "hot-{i} must hit after reboot");
-        assert_eq!(got_fp, *fp);
-        assert_eq!(persist_line(*fp, &got), persist_line(*fp, plan), "hot-{i} drifted");
+    for (i, plan) in [p0, p1, p2].iter().enumerate() {
+        let (source, got) = plan_via(&reboot, &hot_request(i));
+        assert_eq!(source, "cache", "hot-{i} must hit after reboot");
+        assert_eq!(&got, plan, "hot-{i} drifted");
     }
     reboot.stop();
 }
@@ -417,34 +432,27 @@ fn panicking_job_fails_leader_and_followers_with_internal() {
     );
     let occupier = {
         let service = service.clone();
-        std::thread::spawn(move || {
-            let req = slow_request(0);
-            service.plan_values(&req.graph.encode(), &req.cluster.encode(), &req.options.encode()).2
-        })
+        std::thread::spawn(move || respond(&service, &slow_request(0), 1))
     };
     // The occupier holds the only worker; with it attached first, the
     // FIFO queue guarantees the victims' job runs second.
     wait_until("occupier in flight", || service.stats().in_flight >= 1);
 
     let victims: Vec<_> = (0..4)
-        .map(|_| {
+        .map(|i| {
             let service = service.clone();
-            std::thread::spawn(move || {
-                let req = hot_request(0);
-                service
-                    .plan_values(&req.graph.encode(), &req.cluster.encode(), &req.options.encode())
-                    .2
-            })
+            std::thread::spawn(move || respond(&service, &hot_request(0), 2 + i))
         })
         .collect();
     for victim in victims {
-        let result = victim.join().expect("victim thread survives");
-        let err = result.expect_err("a panicked job must fail its request, not hang it");
+        let response = victim.join().expect("victim thread survives");
+        let err = error_of(&response);
         assert_eq!(err.kind, "internal", "{err}");
         assert!(err.to_string().contains("panicked"), "{err}");
         assert!(err.to_string().contains("injected synthesis bug"), "{err}");
     }
-    occupier.join().expect("occupier thread survives").expect("occupier is unaffected");
+    let occupied = occupier.join().expect("occupier thread survives");
+    assert!(occupied.field("ok").unwrap().as_bool().unwrap(), "occupier is unaffected");
 
     let stats = service.stats();
     assert_eq!(stats.panics, 1);
@@ -452,14 +460,11 @@ fn panicking_job_fails_leader_and_followers_with_internal() {
     assert_eq!(stats.in_flight, 0, "the panicked job's slot is cleaned up");
 
     // No poisoned locks, no dead worker: the same request now succeeds.
-    let (source, _, result) = service.plan_values(
-        &hot_request(0).graph.encode(),
-        &hot_request(0).cluster.encode(),
-        &hot_request(0).options.encode(),
-    );
-    assert_eq!(source, PlanSource::Synthesized);
-    result.expect("the daemon keeps serving after a panic");
-    assert_eq!(service.stats().errors, 0, "panic is counted separately from request errors");
+    let (source, _) = plan_via(&service, &hot_request(0));
+    assert_eq!(source, "synthesized", "the daemon keeps serving after a panic");
+    // `panics` counts the one panicked job; `errors` counts the error
+    // frames it answered: the leader's and the three followers'.
+    assert_eq!(service.stats().errors, 4, "every internal frame is an error");
     service.stop();
 }
 
@@ -483,6 +488,7 @@ fn panic_surfaces_as_internal_frame_over_the_socket() {
     assert_eq!(reply.source, "synthesized");
     let stats = client.stats().unwrap();
     assert_eq!(stats.panics, 1);
+    assert_eq!(stats.errors, 1, "the internal frame is counted as an error");
     assert_eq!(stats.in_flight, 0);
 }
 
@@ -536,7 +542,7 @@ fn start_flaky_proxy(upstream: SocketAddr, budgets: Vec<usize>) -> SocketAddr {
 }
 
 /// A connection dropped mid-response is a transport failure, not an
-/// answer: `plan_with_retry` must reconnect and resend (plans are pure,
+/// answer: a client holding a retry policy must reconnect and resend (plans are pure,
 /// so the resend is idempotent) and deliver the bit-identical reply.
 #[test]
 fn client_reconnects_and_resends_after_midresponse_drops() {
@@ -553,8 +559,9 @@ fn client_reconnects_and_resends_after_midresponse_drops() {
     let proxy = start_flaky_proxy(server.addr(), vec![64, 1]);
     let mut client = Client::connect(proxy).unwrap();
     let retry = RetryPolicy { max_attempts: 6, base_delay_ms: 1, max_delay_ms: 5, jitter_seed: 7 };
+    client.set_retry(Some(retry));
     let reply = client
-        .plan_with_retry(&req.graph, &req.cluster, &req.options, None, &retry)
+        .plan(&req.graph, &req.cluster, &req.options)
         .expect("retry reconnects through mid-response drops");
     assert_eq!(client.io_retries(), 2, "both truncated responses were retried");
     assert_eq!(ReplyBits::of(&reply), ReplyBits::of(&expected), "resent reply drifted");

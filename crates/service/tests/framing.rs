@@ -224,9 +224,9 @@ fn streamed_response_reassembles_byte_identical_to_the_plain_line() {
     assert_eq!(reassembled, plain, "stream payload is the canonical response line");
 
     // The high-level client path agrees bit for bit with the plain path.
-    let via_client = client
-        .plan_streamed(&tiny_graph(), &ClusterSpec::fig17_cluster(), &HapOptions::default())
-        .unwrap();
+    client.set_stream(true);
+    let via_client =
+        client.plan(&tiny_graph(), &ClusterSpec::fig17_cluster(), &HapOptions::default()).unwrap();
     assert!(client.stream_chunks() > 1);
     assert_eq!(via_client.source, "cache");
     assert_eq!(via_client.program.fingerprint(), warm.program.fingerprint());

@@ -58,7 +58,7 @@ fn run_retention(admission: bool, seed: u64) -> (f64, HashMap<usize, ReplyBits>,
     let server = Server::start(overload_config(admission)).unwrap();
     let retry = RetryPolicy::default();
     let warmup: Vec<StressOp> = (0..HOT_N).map(StressOp::Hot).collect();
-    let warm_outcomes = testing::drive_sequential(server.addr(), &warmup, &retry);
+    let warm_outcomes = testing::drive_sequential(server.addr(), &warmup, &retry, false);
     let mut bits = HashMap::new();
     for o in &warm_outcomes {
         assert_eq!(o.source, "synthesized", "warmup is all cold");
@@ -66,7 +66,7 @@ fn run_retention(admission: bool, seed: u64) -> (f64, HashMap<usize, ReplyBits>,
         bits.insert(i, o.bits.clone());
     }
     let ops = testing::schedule(seed, HOT_N, HOT_REPEATS, FLOOD_N);
-    let outcomes = testing::drive_sequential(server.addr(), &ops, &retry);
+    let outcomes = testing::drive_sequential(server.addr(), &ops, &retry, false);
     // Whatever the cache decided, every hot reply must carry the exact
     // bits of its cold synthesis — admission may cost re-syntheses, never
     // correctness.
@@ -139,13 +139,13 @@ fn queue_overflow_sheds_busy_frames_and_retry_recovers() {
         let queued = scope.spawn(move || {
             let req = hot_request(0);
             let mut client = Client::connect(addr).unwrap();
-            let retry = RetryPolicy {
+            client.set_retry(Some(RetryPolicy {
                 max_attempts: 4,
                 base_delay_ms: 5,
                 max_delay_ms: 50,
                 ..RetryPolicy::default()
-            };
-            client.plan_with_retry(&req.graph, &req.cluster, &req.options, None, &retry).unwrap()
+            }));
+            client.plan(&req.graph, &req.cluster, &req.options).unwrap()
         });
         std::thread::sleep(std::time::Duration::from_millis(100));
 
@@ -171,14 +171,14 @@ fn queue_overflow_sheds_busy_frames_and_retry_recovers() {
         // The retrying client rides the backlog out and succeeds.
         let req = one_off_request(2000);
         let mut client = Client::connect(addr).unwrap();
-        let retry = RetryPolicy {
+        client.set_retry(Some(RetryPolicy {
             max_attempts: 12,
             base_delay_ms: 20,
             max_delay_ms: 1_000,
             ..RetryPolicy::default()
-        };
+        }));
         let reply = client
-            .plan_with_retry(&req.graph, &req.cluster, &req.options, None, &retry)
+            .plan(&req.graph, &req.cluster, &req.options)
             .expect("backoff must ride out the backlog");
         assert_eq!(reply.source, "synthesized");
         assert!(client.busy_retries() > 0, "the retry path must actually have been exercised");
@@ -199,16 +199,17 @@ fn queue_overflow_sheds_busy_frames_and_retry_recovers() {
 fn ttl_expires_cached_plans_over_the_wire() {
     let server = Server::start(ServiceConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
+    client.set_ttl_ms(Some(300));
     let req = one_off_request(9_000);
 
-    let cold = client.plan_with_ttl(&req.graph, &req.cluster, &req.options, Some(300)).unwrap();
+    let cold = client.plan(&req.graph, &req.cluster, &req.options).unwrap();
     assert_eq!(cold.source, "synthesized");
-    let hit = client.plan_with_ttl(&req.graph, &req.cluster, &req.options, Some(300)).unwrap();
+    let hit = client.plan(&req.graph, &req.cluster, &req.options).unwrap();
     assert_eq!(hit.source, "cache", "inside the TTL the plan serves from cache");
     assert_eq!(ReplyBits::of(&hit), ReplyBits::of(&cold));
 
     std::thread::sleep(std::time::Duration::from_millis(600));
-    let after = client.plan_with_ttl(&req.graph, &req.cluster, &req.options, Some(300)).unwrap();
+    let after = client.plan(&req.graph, &req.cluster, &req.options).unwrap();
     assert_eq!(after.source, "synthesized", "expired plans are never served");
     assert_eq!(ReplyBits::of(&after), ReplyBits::of(&cold), "re-synthesis is bit-identical");
     let stats = server.service().stats();
@@ -277,7 +278,7 @@ fn chaos_device_loss_replans_mid_traffic_keep_every_invariant() {
     let server = Server::start(ServiceConfig::default()).unwrap();
     let retry = RetryPolicy::default();
     let warmup: Vec<StressOp> = (0..HOT_N).map(StressOp::Hot).collect();
-    let warm = testing::drive_sequential(server.addr(), &warmup, &retry);
+    let warm = testing::drive_sequential(server.addr(), &warmup, &retry, false);
     let mut bits = HashMap::new();
     for o in &warm {
         assert_eq!(o.source, "synthesized", "warmup is all cold");
@@ -295,7 +296,7 @@ fn chaos_device_loss_replans_mid_traffic_keep_every_invariant() {
         REPLANS,
         "the chaos schedule carries every requested replan"
     );
-    let outcomes = testing::drive_sequential(server.addr(), &ops, &retry);
+    let outcomes = testing::drive_sequential(server.addr(), &ops, &retry, false);
 
     // Chaos must not perturb unaffected tenants: every hot reply still
     // carries its cold-synthesis bits, and the hot set keeps hitting.
@@ -390,7 +391,7 @@ fn plans_stay_bit_identical_across_a_persisted_restart() {
 
     let before = {
         let server = Server::start(config()).unwrap();
-        testing::drive_sequential(server.addr(), &warmup, &retry)
+        testing::drive_sequential(server.addr(), &warmup, &retry, false)
         // Server drops: queue drains, log is flushed.
     };
     let logged = std::fs::read_to_string(&path).unwrap();
@@ -400,7 +401,7 @@ fn plans_stay_bit_identical_across_a_persisted_restart() {
     );
 
     let server = Server::start(config()).unwrap();
-    let after = testing::drive_sequential(server.addr(), &warmup, &retry);
+    let after = testing::drive_sequential(server.addr(), &warmup, &retry, false);
     for (b, a) in before.iter().zip(after.iter()) {
         assert_eq!(a.source, "cache", "the restarted daemon answers from disk");
         assert_eq!(a.bits, b.bits, "restart must preserve plan bits exactly");

@@ -286,3 +286,72 @@ fn shutdown_request_stops_the_daemon() {
     server.wait();
     server.shutdown();
 }
+
+/// `handle_line` is an adapter over the socket's request path, so the
+/// two answer every line with the same bytes: a miss, a hit, a replan, a
+/// streamed hit (its frames, one per line), a malformed line and an
+/// unknown op, sent to a daemon and to a fresh in-process service alike.
+#[test]
+fn handle_line_answers_exactly_what_the_socket_sends() {
+    use hap_codec::{render_fingerprint, request_fingerprint, Encode, Value};
+    use std::io::{BufRead, BufReader, Write};
+
+    let config = ServiceConfig { stream_chunk_bytes: 256, ..ServiceConfig::default() };
+    let server = Server::start(config.clone()).unwrap();
+    let service = hap_service::PlanService::new(config).unwrap();
+    let (graph, cluster, opts) =
+        (tiny_graph(), ClusterSpec::fig17_cluster(), HapOptions::default());
+    let plan = |id: u64, stream: bool| {
+        let mut fields = vec![
+            ("op", Value::Str("plan".into())),
+            ("id", Value::int(id)),
+            ("graph", graph.encode()),
+            ("cluster", cluster.encode()),
+            ("options", opts.encode()),
+        ];
+        if stream {
+            fields.push(("stream", Value::Bool(true)));
+        }
+        Value::obj(fields).render()
+    };
+    let replan = Value::obj(vec![
+        ("op", Value::Str("replan".into())),
+        ("id", Value::int(3)),
+        ("prior", Value::Str(render_fingerprint(request_fingerprint(&graph, &cluster, &opts)))),
+        ("delta", ClusterDelta::device_loss(0, 1).encode()),
+    ])
+    .render();
+    let lines = [
+        (plan(1, false), "\"source\":\"synthesized\""),
+        (plan(2, false), "\"source\":\"cache\""),
+        (replan, "\"replan\":"),
+        (plan(4, true), "\"done\":true"),
+        ("this is not json".to_string(), "\"kind\":\"parse\""),
+        ("{\"op\":\"frobnicate\",\"id\":6}".to_string(), "unknown op"),
+    ];
+
+    let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    for (line, expect) in &lines {
+        writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+        // A streamed answer is several frames; the last one is `done`.
+        let mut frames = Vec::new();
+        loop {
+            let mut frame = String::new();
+            reader.read_line(&mut frame).unwrap();
+            let last = !frame.starts_with("{\"id\":4,\"chunk\"");
+            frames.push(frame.trim_end_matches('\n').to_string());
+            if last {
+                break;
+            }
+        }
+        let over_socket = frames.join("\n");
+        let (in_process, shutdown) = service.handle_line(line);
+        assert!(!shutdown);
+        assert!(over_socket.contains(expect), "{over_socket}");
+        assert_eq!(in_process, over_socket, "handle_line drifted from the socket on {expect}");
+    }
+    assert_eq!(service.stats().errors, 2);
+    assert_eq!(server.service().stats().errors, 2);
+}
