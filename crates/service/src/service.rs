@@ -32,10 +32,11 @@ use crate::telemetry::{
     ProfileIndex, Telemetry,
 };
 
-/// A transport callback receiving rendered response bytes for a request
-/// whose synthesis resolved after [`PlanService::submit`] returned, plus
-/// the request's trace (sealed by the transport once the bytes flush).
-/// Runs on the resolving worker's thread; must be quick (enqueue + wake).
+/// A callback receiving the rendered response bytes of a request
+/// answered after [`PlanService::submit`] returned, plus the request's
+/// trace (sealed by the caller once the bytes are out). Runs on the
+/// resolving worker or peer thread; must be quick (enqueue + wake, or a
+/// channel send).
 pub(crate) type Deliver = Box<dyn FnOnce(Vec<u8>, Option<PendingTrace>) + Send>;
 
 /// How a plan response was produced.
@@ -183,15 +184,9 @@ impl Answer {
         let profile = profile_for(shared, self.fp, self.want_profile, synthesized, tb);
         let diff = self.prior.as_ref().map(|(fp, prior)| replan_diff(*fp, prior, plan));
         let bytes = encode_span(tb, || {
-            plan_bytes(
-                self.id,
-                self.fp,
-                source,
-                plan,
-                diff.as_ref(),
-                profile.as_deref(),
-                self.stream_chunk,
-            )
+            let frame =
+                plan_frame(self.id, self.fp, source, plan, diff.as_ref(), profile.as_deref());
+            line_bytes(self.id, frame.render(), self.stream_chunk)
         });
         let outcome =
             if self.prior.is_some() { Outcome::Replan } else { outcome_for_source(source) };
@@ -659,8 +654,10 @@ impl PlanService {
             match reply {
                 Some((resp, ProxyReply::Pass { outcome, is_plan })) => {
                     let mut tb = tb;
-                    let bytes =
-                        encode_span(&mut tb, || proxied_bytes(id, resp, is_plan, stream_chunk));
+                    // Canonical JSON makes the relayed line byte-identical
+                    // to a locally rendered response.
+                    let stream_chunk = stream_chunk.filter(|_| is_plan);
+                    let bytes = encode_span(&mut tb, || line_bytes(id, resp, stream_chunk));
                     deliver(bytes, seal(tb, outcome));
                 }
                 _ => fallback(tb, deliver),
@@ -1135,28 +1132,6 @@ fn classify_proxy_reply(resp: &str) -> Option<ProxyReply> {
     Some(ProxyReply::Pass { outcome, is_plan: v.get("plan").is_some() })
 }
 
-/// The wire bytes relayed for a proxied response: the owner's canonical
-/// line as-is — or, when the client asked to stream and the line is a
-/// successful plan frame, its locally chunked encoding. Canonical JSON
-/// makes the relay byte-identical to a locally rendered response.
-fn proxied_bytes(id: u64, line: String, is_plan: bool, stream_chunk: Option<usize>) -> Vec<u8> {
-    match stream_chunk {
-        Some(chunk) if is_plan => {
-            let mut bytes = Vec::with_capacity(line.len() + line.len() / 8);
-            for frame in encode_stream(id, &line, chunk) {
-                bytes.extend_from_slice(frame.as_bytes());
-                bytes.push(b'\n');
-            }
-            bytes
-        }
-        _ => {
-            let mut bytes = line.into_bytes();
-            bytes.push(b'\n');
-            bytes
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Frame rendering
 // ---------------------------------------------------------------------------
@@ -1188,7 +1163,7 @@ fn replan_diff(prior_fp: u64, prior: &CachedPlan, next: &CachedPlan) -> PlanDiff
 /// optionally extended with a `replan` diff field (the response shape of
 /// the `replan` verb) and/or a `profile` field (when the request carried
 /// `"profile": true` and the synthesis profile is still indexed).
-fn plan_frame_with(
+fn plan_frame(
     id: u64,
     fp: u64,
     source: PlanSource,
@@ -1222,38 +1197,23 @@ fn plan_frame_with(
 
 /// One rendered frame plus its newline.
 pub(crate) fn frame_bytes(frame: &Value) -> Vec<u8> {
-    let mut bytes = frame.render().into_bytes();
-    bytes.push(b'\n');
-    bytes
+    line_bytes(0, frame.render(), None)
 }
 
-/// The wire bytes of a successful plan response: the canonical single
-/// line, or — when the request advertised `"stream": true` — its chunked
-/// encoding. The stream payload *is* the canonical line, so reassembly is
+/// The wire bytes of a response line: the line plus its newline, or —
+/// when the client asked to stream (`stream_chunk`) — its chunked
+/// encoding. The stream payload *is* the line, so reassembly is
 /// byte-identical to the unstreamed response.
-pub(crate) fn plan_bytes(
-    id: u64,
-    fp: u64,
-    source: PlanSource,
-    plan: &CachedPlan,
-    diff: Option<&PlanDiff>,
-    profile: Option<&SynthProfile>,
-    stream_chunk: Option<usize>,
-) -> Vec<u8> {
-    let line = plan_frame_with(id, fp, source, plan, diff, profile).render();
-    match stream_chunk {
-        None => {
-            let mut bytes = line.into_bytes();
-            bytes.push(b'\n');
-            bytes
-        }
-        Some(chunk) => {
-            let mut bytes = Vec::with_capacity(line.len() + line.len() / 8);
-            for frame in encode_stream(id, &line, chunk) {
-                bytes.extend_from_slice(frame.as_bytes());
-                bytes.push(b'\n');
-            }
-            bytes
-        }
+fn line_bytes(id: u64, line: String, stream_chunk: Option<usize>) -> Vec<u8> {
+    let Some(chunk) = stream_chunk else {
+        let mut bytes = line.into_bytes();
+        bytes.push(b'\n');
+        return bytes;
+    };
+    let mut bytes = Vec::with_capacity(line.len() + line.len() / 8);
+    for frame in encode_stream(id, &line, chunk) {
+        bytes.extend_from_slice(frame.as_bytes());
+        bytes.push(b'\n');
     }
+    bytes
 }

@@ -67,22 +67,17 @@ impl Telemetry {
         self.enabled.then(|| TraceBuilder::new(self.clock.clone()))
     }
 
-    /// Seals a trace: assigns its id, records its latency under the
-    /// verb × outcome histogram, and retains it in the ring.
-    pub fn finish(&self, builder: Option<TraceBuilder>, outcome: Outcome) {
-        if let Some(builder) = builder {
-            let verb = builder.verb();
-            let trace_id = self.next_trace_id.fetch_add(1, Ordering::Relaxed) + 1;
-            let trace = builder.finish(trace_id, outcome);
-            self.hists.record(verb, outcome, trace.total_nanos);
-            self.ring.push(Arc::new(trace));
-        }
-    }
-
-    /// Seals an async request whose flush just completed.
+    /// Seals a request's trace once its response is out (flushed to the
+    /// socket, or handed to an in-process caller): assigns its id,
+    /// records its latency under the verb × outcome histogram, and
+    /// retains it in the ring.
     pub fn finish_pending(&self, pending: PendingTrace) {
         let PendingTrace { builder, outcome } = pending;
-        self.finish(Some(builder), outcome);
+        let verb = builder.verb();
+        let trace_id = self.next_trace_id.fetch_add(1, Ordering::Relaxed) + 1;
+        let trace = builder.finish(trace_id, outcome);
+        self.hists.record(verb, outcome, trace.total_nanos);
+        self.ring.push(Arc::new(trace));
     }
 
     /// `(traces_recorded, metrics_samples)` — the totals surfaced through

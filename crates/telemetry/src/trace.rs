@@ -11,7 +11,7 @@ use crate::clock::Clock;
 /// are simply absent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SpanKind {
-    /// Connection accepted (async path only; a zero-width marker).
+    /// Connection accepted (socket requests only; a zero-width marker).
     Accept,
     /// The request line accumulating in the framer, first byte → newline.
     Frame,
@@ -25,7 +25,8 @@ pub enum SpanKind {
     Synthesis,
     /// Rendering the response frame.
     Encode,
-    /// Response bytes queued → fully written to the socket (async path).
+    /// Response bytes queued → fully written to the socket (socket
+    /// requests only).
     Flush,
 }
 
@@ -196,8 +197,9 @@ pub struct RequestTrace {
     pub verb: Verb,
     pub outcome: Outcome,
     /// Service latency: first processing span start → last span end.
-    /// Excludes `Accept`/`Frame` (connection/network time), so sync and
-    /// async paths measure the same thing and histograms stay comparable.
+    /// Excludes `Accept`/`Frame` (connection/network time), so socket and
+    /// in-process requests measure the same thing and histograms stay
+    /// comparable.
     pub total_nanos: u64,
     pub spans: Vec<Span>,
     pub annotations: Vec<(String, u64)>,
