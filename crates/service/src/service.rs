@@ -63,14 +63,15 @@ impl PlanSource {
 /// What [`PlanService::submit`] did with a request line.
 pub(crate) enum Submission {
     /// The response is complete: one or more newline-terminated frames,
-    /// plus the request's trace for the transport to seal at flush time.
+    /// plus the request's trace for the caller to seal once the bytes are
+    /// out.
     Ready { bytes: Vec<u8>, shutdown: bool, trace: Option<PendingTrace> },
     /// A synthesis or a proxy hop is in flight; the `deliver` callback
     /// will produce the bytes (and the trace) on another thread.
     Pending,
 }
 
-/// Packages a trace builder with its outcome for the transport to seal.
+/// Packages a trace builder with its outcome for the caller to seal.
 fn seal(tb: Option<TraceBuilder>, outcome: Outcome) -> Option<PendingTrace> {
     tb.map(|builder| PendingTrace { builder, outcome })
 }

@@ -23,7 +23,10 @@ pub struct StatsSnapshot {
     pub evictions: u64,
     /// Misses that were seeded from a neighbor's cached plan.
     pub warm_seeded: u64,
-    /// Requests that returned an error frame.
+    /// Requests answered with an error frame, on every path. Two kinds
+    /// are not counted here: `not_owner` redirects (routing, counted
+    /// under `redirected`) and an owner's error relayed by a proxy hop
+    /// (counted at the owner).
     pub errors: u64,
     /// Syntheses currently running or queued.
     pub in_flight: u64,

@@ -293,7 +293,7 @@ fn shutdown_request_stops_the_daemon() {
 /// unknown op, sent to a daemon and to a fresh in-process service alike.
 #[test]
 fn handle_line_answers_exactly_what_the_socket_sends() {
-    use hap_codec::{render_fingerprint, request_fingerprint, Encode, Value};
+    use hap_codec::{parse, render_fingerprint, request_fingerprint, Encode, Value};
     use std::io::{BufRead, BufReader, Write};
 
     let config = ServiceConfig { stream_chunk_bytes: 256, ..ServiceConfig::default() };
@@ -335,14 +335,13 @@ fn handle_line_answers_exactly_what_the_socket_sends() {
     let mut reader = BufReader::new(stream);
     for (line, expect) in &lines {
         writer.write_all(format!("{line}\n").as_bytes()).unwrap();
-        // A streamed answer is several frames; the last one is `done`.
+        // A streamed answer is chunk frames up to a `done` frame.
         let mut frames = Vec::new();
         loop {
             let mut frame = String::new();
             reader.read_line(&mut frame).unwrap();
-            let last = !frame.starts_with("{\"id\":4,\"chunk\"");
             frames.push(frame.trim_end_matches('\n').to_string());
-            if last {
+            if parse(&frame).unwrap().get("chunk").is_none() {
                 break;
             }
         }
